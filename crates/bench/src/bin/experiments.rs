@@ -1005,7 +1005,7 @@ fn repl_rows(configs: &[(usize, usize, usize)]) -> String {
     use migratory_core::enforce::repl::{acceptor, puller};
     use migratory_core::enforce::{
         ingress, AckPolicy, AdmissionMetrics, DurabilityPolicy, FsyncPolicy, Health, Histogram,
-        IngressConfig, ReplicaCtl, Replicator, ShardedMonitor, StepPolicy, Wal,
+        IngressConfig, ReplicaCtl, Replicator, ServeOptions, ShardedMonitor, StepPolicy, Wal,
     };
     use std::sync::atomic::{AtomicBool, Ordering};
     use std::sync::{Arc, Mutex};
@@ -1068,7 +1068,15 @@ fn repl_rows(configs: &[(usize, usize, usize)]) -> String {
                     |_| {},
                     |client| {
                         std::thread::scope(|ps| {
-                            ps.spawn(|| puller(&repl_addr, &ctl, &wal_r, client, None));
+                            ps.spawn(|| {
+                                puller(
+                                    &repl_addr,
+                                    &ctl,
+                                    &wal_r,
+                                    client,
+                                    &Arc::new(AdmissionMetrics::new(1)),
+                                )
+                            });
                             while !ctl.stopped() {
                                 std::thread::sleep(Duration::from_millis(5));
                             }
@@ -1103,15 +1111,17 @@ fn repl_rows(configs: &[(usize, usize, usize)]) -> String {
             }
             wal_p.lock().unwrap().write_snapshot(&pm.checkpoint_full()).expect("base checkpoint");
             let health = Health::new();
-            ingress::serve_pipelined_repl(
+            let opts = ServeOptions {
+                config: cfg,
+                health: Some(&health),
+                wal: Some(wal_p.clone()),
+                metrics: Some(&*metrics),
+                repl: Some(repl.clone()),
+                ..ServeOptions::default()
+            };
+            ingress::run(
                 &mut pm,
-                &cfg,
-                &DurabilityPolicy::default(),
-                &health,
-                wal_p.clone(),
-                Some(&*metrics),
-                Some(repl.clone()),
-                0,
+                &opts,
                 |_| {},
                 |client| {
                     std::thread::scope(|ps| {

@@ -3,7 +3,8 @@
 //!
 //! # Shape
 //!
-//! [`serve`] stands up one **admission worker** (a scoped thread owning
+//! [`run`] (or its shorthands [`serve`] and [`serve_pipelined`])
+//! stands up one **admission worker** (a scoped thread owning
 //! the [`ShardedMonitor`]) behind a set of bounded FIFO **lanes** — one
 //! per shard when the monitor routes by weakly-connected component (an
 //! object's component never changes, so a transaction's traffic has a
@@ -14,7 +15,11 @@
 //!
 //! The worker drains one lane at a time (round-robin over non-empty
 //! lanes), admits the drained ops as **one block** through
-//! [`ShardedMonitor::try_apply_batch`], and answers each op's ticket.
+//! [`ShardedMonitor::try_apply_batch`], and releases each admitted
+//! op's ticket. One loop serves volatile and durable ingress alike; the
+//! [`ServeOptions::wal`] handle picks the **release step** — answer in
+//! place, or hand the block to a committer thread that answers once the
+//! records are durable (see [`run`]).
 //! Batching is therefore emergent: the deeper the queues, the larger
 //! the blocks, and the per-block cohort sweep and (when a
 //! [`CommitSink`](super::CommitSink) is attached) the per-block WAL
@@ -87,6 +92,7 @@
 
 use super::health::Health;
 use super::metrics::AdmissionMetrics;
+use super::repl::Replicator;
 use super::sharded::ShardedMonitor;
 use super::wal::{self, Wal, WalError};
 use super::{EnforceError, ResiduePolicy};
@@ -116,7 +122,7 @@ impl Default for IngressConfig {
 }
 
 /// How the admission worker treats a failing write-ahead append (see
-/// [`serve_guarded`]): transient errors are retried with bounded linear
+/// [`run`]): transient errors are retried with bounded linear
 /// backoff; exhausting the budget flips the server into degraded
 /// read-only mode ([`Health::degrade`]) instead of erroring op after op
 /// against a dead disk — or worse, acking non-durable work.
@@ -440,10 +446,7 @@ impl<'t, 's> IngressClient<'t, 's, '_> {
     /// flushed again before its [`AdminDone`] is invoked). Never blocks:
     /// admin ops are rare and unbounded by lane capacity.
     pub fn post_admin(&self, op: AdminOp<'t, 's>) {
-        let mut st = self.shared.state.lock().expect("ingress poisoned");
-        st.admin.push_back((op, false));
-        drop(st);
-        self.shared.ready.notify_one();
+        self.push_admin(op, false);
     }
 
     /// [`IngressClient::post_admin`] for **read-only** ops — the seam
@@ -455,94 +458,198 @@ impl<'t, 's> IngressClient<'t, 's, '_> {
     /// degraded read-only mode — reads stay up when writes refuse.
     /// The op must not mutate the monitor.
     pub fn post_admin_read(&self, op: AdminOp<'t, 's>) {
-        let mut st = self.shared.state.lock().expect("ingress poisoned");
-        st.admin.push_back((op, true));
-        drop(st);
+        self.push_admin(op, true);
+    }
+
+    fn push_admin(&self, op: AdminOp<'t, 's>, read_only: bool) {
+        self.shared.state.lock().expect("ingress poisoned").admin.push_back((op, read_only));
         self.shared.ready.notify_one();
     }
+}
+
+/// Everything [`run`] takes besides the monitor, the maintenance hook
+/// and the driver. `ServeOptions::default()` is a volatile ingress on
+/// the default lanes with a fresh [`Health`], no metrics and no
+/// maintenance — exactly [`serve`].
+#[derive(Default)]
+pub struct ServeOptions<'o> {
+    /// Lane capacity and block size.
+    pub config: IngressConfig,
+    /// Retry budget for a failing write-ahead append, then degraded
+    /// read-only mode.
+    pub durability: DurabilityPolicy,
+    /// The degraded-mode switch, shared with the caller (the wire
+    /// front end's `stats` and `rearm` verbs, a
+    /// [`Snapshotter`](super::Snapshotter)). `None`: a fresh one,
+    /// private to the run.
+    pub health: Option<&'o Health>,
+    /// The write-ahead log behind the committer thread. It picks the
+    /// release step (see [`run`]): `Some` releases admitted tickets
+    /// once the committer made them durable, `None` answers them in
+    /// place.
+    pub wal: Option<Arc<Mutex<Wal>>>,
+    /// Histograms stamped at every drain (queue depth), release (block
+    /// size, commit latency), committer sync (fsync batch) and
+    /// maintenance call (checkpoint stall).
+    pub metrics: Option<&'o AdmissionMetrics>,
+    /// Replication tee (requires `wal`): every batch the committer
+    /// syncs is handed to
+    /// [`Replicator::ship_and_wait`](super::repl::Replicator::ship_and_wait),
+    /// and under [`AckPolicy::ReplicaK`](super::repl::AckPolicy::ReplicaK)
+    /// its tickets are released only once enough replicas acknowledged
+    /// the bytes.
+    pub repl: Option<Arc<Replicator>>,
+    /// Admitted blocks between maintenance-hook calls; 0 = never.
+    pub maintenance_every: usize,
+}
+
+/// [`run`] a volatile ingress with no maintenance: admitted tickets are
+/// answered in place, and a [`CommitSink`](super::CommitSink) attached
+/// to the monitor logs every block inside `try_apply_batch`.
+pub fn serve<'t, 'a, R>(
+    monitor: &mut ShardedMonitor<'a>,
+    config: &IngressConfig,
+    drive: impl FnOnce(&IngressClient<'t, '_, '_>) -> R,
+) -> (R, IngressStats) {
+    run(monitor, &ServeOptions { config: *config, ..ServeOptions::default() }, |_| {}, drive)
+}
+
+/// [`run`] a durable ingress: `wal` behind the committer thread,
+/// pipelined group commit, no replication.
+#[allow(clippy::too_many_arguments)]
+pub fn serve_pipelined<'t, 'a, R>(
+    monitor: &mut ShardedMonitor<'a>,
+    config: &IngressConfig,
+    policy: &DurabilityPolicy,
+    health: &Health,
+    wal: Arc<Mutex<Wal>>,
+    metrics: Option<&AdmissionMetrics>,
+    maintenance_every: usize,
+    maintenance: impl FnMut(&mut ShardedMonitor<'a>) + Send,
+    drive: impl FnOnce(&IngressClient<'t, '_, '_>) -> R,
+) -> (R, IngressStats) {
+    let opts = ServeOptions {
+        config: *config,
+        durability: *policy,
+        health: Some(health),
+        wal: Some(wal),
+        metrics,
+        repl: None,
+        maintenance_every,
+    };
+    run(monitor, &opts, maintenance, drive)
 }
 
 /// Run an ingress around `monitor`: spawn the admission worker, hand
 /// the driver an [`IngressClient`], and when the driver returns, drain
 /// the remaining queue and return the driver's result plus
 /// [`IngressStats`]. The monitor is borrowed for the duration — attach
-/// policy and [`CommitSink`](super::CommitSink) before serving; every
-/// admitted block then group-commits through it.
+/// policy (and, without a WAL, any [`CommitSink`](super::CommitSink))
+/// before serving.
 ///
 /// Close-and-answer: once the driver returns, no new work can arrive
 /// (every producer borrowed the client, which is gone), and the worker
 /// keeps draining until every lane is empty — so **every posted op is
-/// answered** before `serve` returns. That is the graceful-drain
+/// answered** before `run` returns. That is the graceful-drain
 /// primitive the network front end (`enforce::net`) builds on.
-pub fn serve<'t, 'a, R>(
-    monitor: &mut ShardedMonitor<'a>,
-    config: &IngressConfig,
-    drive: impl FnOnce(&IngressClient<'t, '_, '_>) -> R,
-) -> (R, IngressStats) {
-    serve_with(monitor, config, 0, |_| {}, drive)
-}
-
-/// [`serve`] with a periodic **maintenance hook**: every
-/// `maintenance_every` admitted blocks (0 = never) the admission worker
+///
+/// # Release step
+///
+/// One worker loop serves both modes; [`ServeOptions::wal`] picks how
+/// a block's admitted tickets are released:
+///
+/// * **In place** (no WAL): answered on the worker right after
+///   `try_apply_batch`. A sink attached to the monitor appends (and
+///   syncs) inside that call, so an ack still follows the log, with no
+///   extra thread hop.
+/// * **Committer** (WAL): the monitor's sink is replaced for the
+///   duration by a staging sink that encodes each admitted block's
+///   records. The worker hands the bytes and the tickets to a dedicated
+///   committer thread, which appends whatever accumulated, issues
+///   **one** `fdatasync` per batch
+///   ([`FsyncPolicy::Batch`](super::FsyncPolicy::Batch)), tees the
+///   batch to the replicas when [`ServeOptions::repl`] is set, and only
+///   then releases the tickets. An ack still implies durability under
+///   the configured policy, but the fsync overlaps the staging of the
+///   next blocks instead of stalling it.
+///
+/// # Durability failures
+///
+/// A block whose append (in place) or record encoding (committer)
+/// fails is retried under [`ServeOptions::durability`]: nothing past the
+/// committed prefix reached the log, and the rollback contract of
+/// [`ShardedMonitor::try_apply_batch`] makes the retry safe. An
+/// exhausted budget degrades [`Health`]: every queued and future write
+/// is answered [`EnforceError::Degraded`] without touching the engine
+/// until [`Health::rearm`]; reads stay up. A committer whose append or
+/// sync keeps failing truncates the unsynced suffix and degrades the
+/// same way. Because tracking commits *before* durability there, the
+/// monitor is then ahead of the log; the worker **resynchronizes** it
+/// from the checkpoint chain + log tail at the first healthy block
+/// after the rearm (and at drain-out), so recovery's byte-identity
+/// contract holds at every fault site.
+///
+/// # Maintenance
+///
+/// Every [`ServeOptions::maintenance_every`] admitted blocks the worker
 /// calls `maintenance` with exclusive access to the monitor — after the
-/// block's tickets were answered, so the hook never adds latency to the
-/// ops that triggered it. This is how a long-running server runs
-/// incremental checkpoints *behind* live traffic: the hook captures an
-/// O(dirty) [`CheckpointDelta`](super::CheckpointDelta) and hands it to
-/// a background [`Snapshotter`](super::Snapshotter) while producers
-/// keep posting (their ops queue in the lanes for the duration of the
-/// capture).
-pub fn serve_with<'t, 'a, R>(
+/// block's tickets were released (behind a flush barrier on the
+/// committer), so the hook never adds latency to the ops that
+/// triggered it. This is how a long-running server checkpoints behind
+/// live traffic: the hook captures an O(dirty)
+/// [`CheckpointDelta`](super::CheckpointDelta) and hands it to a
+/// background [`Snapshotter`](super::Snapshotter) while producers keep
+/// posting (their ops queue in the lanes for the duration).
+///
+/// # Panics
+/// Panics if [`ServeOptions::repl`] is set without a WAL.
+pub fn run<'t, 'a, R>(
     monitor: &mut ShardedMonitor<'a>,
-    config: &IngressConfig,
-    maintenance_every: usize,
-    maintenance: impl FnMut(&mut ShardedMonitor<'a>) + Send,
-    drive: impl FnOnce(&IngressClient<'t, '_, '_>) -> R,
-) -> (R, IngressStats) {
-    let health = Health::new();
-    serve_guarded(
-        monitor,
-        config,
-        &DurabilityPolicy::default(),
-        &health,
-        maintenance_every,
-        maintenance,
-        drive,
-    )
-}
-
-/// The full-fat ingress: [`serve_with`] plus an explicit
-/// [`DurabilityPolicy`] and a shared [`Health`]. The admission worker
-/// retries a block whose write-ahead append failed (nothing past the
-/// committed prefix reached the log — the rollback contract of
-/// [`ShardedMonitor::try_apply_batch`] makes the retry safe), and when
-/// the budget is exhausted it degrades the server: every queued and
-/// future op is answered [`EnforceError::Degraded`] without touching
-/// the engine, until [`Health::rearm`] — reads stay up, writes refuse
-/// fast, and nothing is ever acked that is not on disk.
-pub fn serve_guarded<'t, 'a, R>(
-    monitor: &mut ShardedMonitor<'a>,
-    config: &IngressConfig,
-    policy: &DurabilityPolicy,
-    health: &Health,
-    maintenance_every: usize,
+    opts: &ServeOptions<'_>,
     mut maintenance: impl FnMut(&mut ShardedMonitor<'a>) + Send,
     drive: impl FnOnce(&IngressClient<'t, '_, '_>) -> R,
 ) -> (R, IngressStats) {
-    let shared = Shared::new(monitor, config);
-    let max_block = config.max_block.max(1);
-    std::thread::scope(|scope| {
-        let worker = scope.spawn(|| {
-            admission_loop(
-                monitor,
-                &shared,
-                max_block,
-                policy,
-                health,
-                maintenance_every,
-                &mut maintenance,
-            )
-        });
+    assert!(opts.repl.is_none() || opts.wal.is_some(), "the replication tee needs a wal");
+    let fresh = Health::new();
+    let staged: Arc<Mutex<Vec<u8>>> = Arc::new(Mutex::new(Vec::new()));
+    let previous = opts.wal.as_ref().map(|_| {
+        monitor.set_sink(Some(Arc::new(Mutex::new(StagedSink { staged: staged.clone() }))))
+    });
+    let pipe = Pipeline {
+        health: opts.health.unwrap_or(&fresh),
+        policy: opts.durability,
+        metrics: opts.metrics,
+        wal: opts.wal.clone(),
+        repl: opts.repl.clone(),
+        staged,
+        needs_resync: AtomicBool::new(false),
+        refused: AtomicUsize::new(0),
+        retries: AtomicUsize::new(0),
+    };
+    let shared = Shared::new(monitor, &opts.config);
+    let max_block = opts.config.max_block.max(1);
+    let (out, mut stats) = std::thread::scope(|scope| {
+        // Inside the scope: a panicking driver drops `tx` on unwind, so
+        // the committer sees its channel close and the join completes.
+        let (tx, rx) = mpsc::channel::<Msg<'t>>();
+        let pipe = &pipe;
+        let committer = pipe.wal.is_some().then(|| scope.spawn(move || committer_loop(pipe, &rx)));
+        let worker = {
+            let worker_tx = pipe.wal.is_some().then(|| tx.clone());
+            let (shared, maintenance, monitor) = (&shared, &mut maintenance, &mut *monitor);
+            let every = opts.maintenance_every;
+            scope.spawn(move || {
+                admission_loop(
+                    monitor,
+                    shared,
+                    max_block,
+                    every,
+                    maintenance,
+                    pipe,
+                    worker_tx.as_ref(),
+                )
+            })
+        };
         // Close on unwind too: if the driver panics, the scope joins the
         // worker before propagating, and a worker parked on `ready` with
         // `closed` unset would deadlock the join forever.
@@ -550,8 +657,21 @@ pub fn serve_guarded<'t, 'a, R>(
         let out = drive(&IngressClient { shared: &shared });
         drop(guard);
         let stats = worker.join().expect("admission worker panicked");
+        // The worker's sender is gone; dropping ours closes the channel
+        // and the committer (which answered everything pending at the
+        // worker's final flush) exits.
+        drop(tx);
+        if let Some(committer) = committer {
+            committer.join().expect("committer thread panicked");
+        }
         (out, stats)
-    })
+    });
+    if let Some(previous) = previous {
+        monitor.set_sink(previous);
+    }
+    stats.refused += pipe.refused.load(Ordering::SeqCst);
+    stats.retries += pipe.retries.load(Ordering::SeqCst);
+    (out, stats)
 }
 
 /// Marks the ingress closed (and wakes everyone) when dropped — on the
@@ -571,81 +691,124 @@ impl Drop for CloseGuard<'_, '_, '_> {
     }
 }
 
+/// The admission worker, one loop for both release steps: serve admin
+/// barriers between blocks, drain one lane per block (round-robin),
+/// refuse in degraded mode, admit through `try_apply_batch`, release
+/// the admitted prefix (in place, or to `committer` when a WAL is
+/// attached), retry or degrade on a durability failure, answer a
+/// violator and re-queue the ops behind it at the front of their lane,
+/// and run maintenance on the block cadence.
 fn admission_loop<'t, 'a>(
     monitor: &mut ShardedMonitor<'a>,
     shared: &Shared<'t, 'a>,
     max_block: usize,
-    policy: &DurabilityPolicy,
-    health: &Health,
     maintenance_every: usize,
     maintenance: &mut (impl FnMut(&mut ShardedMonitor<'a>) + Send),
+    pipe: &Pipeline<'_>,
+    committer: Option<&mpsc::Sender<Msg<'t>>>,
 ) -> IngressStats {
+    // A flush barrier: `true` once everything released so far is
+    // durable. Trivially true in place, where release is the answer.
+    let flush = || committer.is_none_or(flush_committer);
     let mut stats = IngressStats::default();
     let mut cursor = 0usize;
     loop {
-        let (lane, block) = match shared.next_work(cursor, max_block, &mut stats, None) {
-            Work::Drained => return stats,
-            Work::Admin(op, read_only) => {
-                // Barrier op between blocks: the previous block's
-                // tickets were answered (synchronously — the sink, if
-                // any, appended and synced inside `try_apply_batch`), so
-                // the op sees a quiescent, durable-consistent monitor.
-                // Read-only ops see it even degraded: reads stay up.
-                let done = if health.is_degraded() && !read_only {
-                    op(Err(health.reason()))
+        let (lane, block) = match shared.next_work(cursor, max_block, &mut stats, pipe.metrics) {
+            Work::Drained => {
+                // Drain barrier: every released ticket must be answered
+                // (durable or refused) before serve returns. Resolve a
+                // pending divergence even in degraded mode, so the
+                // caller's final checkpoint snapshots exactly the
+                // durable state.
+                flush();
+                if pipe.needs_resync.swap(false, Ordering::SeqCst) {
+                    try_resync(monitor, pipe);
+                }
+                return stats;
+            }
+            Work::Admin(op, true) => {
+                // Read-only ops skip the flush barrier entirely: they
+                // stage nothing, and a slightly-stale (or even
+                // degraded) monitor is a consistent read.
+                op(Ok(monitor))(true);
+                continue;
+            }
+            Work::Admin(op, false) => {
+                // Barrier: everything released before the op must be
+                // durable before the op sees the monitor — and a monitor
+                // that ran ahead of a broken log is wound back first, so
+                // the op never builds on tracking the durable image
+                // contradicts.
+                let flushed = flush();
+                pipe.resync_if_rearmed(monitor, committer);
+                if flushed && !pipe.health.is_degraded() {
+                    let done = op(Ok(monitor));
+                    // Whatever the op staged rides the committer like a
+                    // block with no tickets; its reply is released only
+                    // once the record is durable.
+                    pipe.release(0, Instant::now(), std::iter::empty(), committer);
+                    done(flush());
                 } else {
-                    op(Ok(monitor))
-                };
-                done(true);
+                    let reason = if pipe.health.is_degraded() {
+                        pipe.health.reason()
+                    } else {
+                        "write-ahead committer unavailable".to_owned()
+                    };
+                    op(Err(reason))(true);
+                }
                 continue;
             }
             Work::Block(lane, block) => (lane, block),
         };
         shared.notify_space();
         cursor = lane + 1;
-
-        // Admit the block; longest conforming prefix commits.
         stats.blocks += 1;
-        if health.is_degraded() {
+        pipe.resync_if_rearmed(monitor, committer);
+
+        if pipe.health.is_degraded() {
             // Degraded read-only mode: refuse before touching the
             // engine. Lanes keep draining so every producer is answered
             // promptly instead of backing up against a dead disk.
-            let reason = health.reason();
+            let reason = pipe.health.reason();
             stats.refused += block.len();
             for op in block {
                 op.reply.answer(Err(EnforceError::Degraded(reason.clone())));
             }
             continue;
         }
+
+        // Admit the block; longest conforming prefix commits.
+        let t0 = Instant::now();
         let mut ops = block;
         let mut attempts = 0u32;
         loop {
             let (done, err) = monitor.try_apply_batch(ops.iter().map(|op| (op.t, &op.args)));
             stats.admitted += done;
             let mut rest = ops.into_iter();
-            for op in rest.by_ref().take(done) {
-                op.reply.answer(Ok(()));
-            }
+            pipe.release(lane, t0, rest.by_ref().take(done).map(|op| op.reply), committer);
             match err {
                 None => {
                     debug_assert_eq!(rest.len(), 0, "without an error every op commits");
                     break;
                 }
-                // The write-ahead append refused the block: nothing past
-                // `done` reached the log and every survivor was rolled
-                // back, so re-admitting them is safe. Retry with bounded
-                // backoff; an exhausted budget degrades the server.
+                // The append (in place) or the record encoding
+                // (committer: a block past the record cap) refused the
+                // block: nothing past `done` reached the log and every
+                // survivor was rolled back, so re-admitting them is
+                // safe. Retry with bounded backoff; an exhausted budget
+                // degrades the server.
                 Some(EnforceError::Durability(e)) => {
                     let rest: Vec<Op<'t>> = rest.collect();
-                    if attempts < policy.retries {
+                    if attempts < pipe.policy.retries {
                         attempts += 1;
                         stats.retries += 1;
-                        std::thread::sleep(policy.backoff.saturating_mul(attempts));
+                        std::thread::sleep(pipe.policy.backoff.saturating_mul(attempts));
                         ops = rest;
                         continue;
                     }
-                    let reason = format!("write-ahead append failed after {attempts} retries: {e}");
-                    health.degrade(&reason);
+                    let site = if committer.is_some() { "staging" } else { "append" };
+                    let reason = format!("write-ahead {site} failed after {attempts} retries: {e}");
+                    pipe.health.degrade(&reason);
                     stats.refused += rest.len();
                     for op in rest {
                         op.reply.answer(Err(EnforceError::Degraded(reason.clone())));
@@ -672,18 +835,25 @@ fn admission_loop<'t, 'a>(
                 }
             }
         }
-        // Maintenance rides the block cadence, after the tickets were
-        // answered: a checkpoint capture stalls future admissions (new
-        // ops queue in the lanes meanwhile), never the replies of the
-        // block that triggered it.
-        if maintenance_every > 0 && stats.blocks.is_multiple_of(maintenance_every) {
+        // Maintenance rides the block cadence, after the block's
+        // tickets were released and behind a flush barrier: a
+        // checkpoint capture stalls future admissions (new ops queue in
+        // the lanes meanwhile), never the replies of the block that
+        // triggered it, and it neither captures tracking whose records
+        // a broken committer dropped nor seals a log whose unsynced
+        // tail the checkpoint claims to cover.
+        if maintenance_every > 0 && stats.blocks.is_multiple_of(maintenance_every) && flush() {
+            let m0 = Instant::now();
             maintenance(monitor);
+            if let Some(m) = pipe.metrics {
+                m.checkpoint_stall_us.record_since(m0);
+            }
         }
     }
 }
 
 // ---------------------------------------------------------------------
-// Pipelined group commit (two-stage admission)
+// The committer release step (pipelined group commit)
 // ---------------------------------------------------------------------
 
 /// Poison-tolerant lock: a panic on the other side of the pipeline must
@@ -693,13 +863,12 @@ fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
-/// The pipelined ingress's commit sink: instead of appending (and
-/// syncing) on the admission worker, each admitted block's framed
-/// record bytes are accumulated here — synchronously, inside
-/// `try_apply_batch` — and the worker hands the buffer to the
-/// committer thread after tracking commits. Encoding is the only
-/// fallible step (a block past the record cap), so the admission path
-/// itself can no longer block on the disk.
+/// The committer's commit sink: instead of appending (and syncing) on
+/// the admission worker, each admitted block's framed record bytes are
+/// accumulated here — synchronously, inside `try_apply_batch` — and the
+/// worker hands the buffer to the committer thread after tracking
+/// commits. Encoding is the only fallible step (a block past the record
+/// cap), so the admission path itself can no longer block on the disk.
 struct StagedSink {
     staged: Arc<Mutex<Vec<u8>>>,
 }
@@ -744,18 +913,19 @@ enum Msg<'t> {
     Reset,
 }
 
-/// State shared between the pipelined admission worker, its committer
-/// thread and the staging sink.
+/// State shared between the admission worker, the committer thread
+/// (when a WAL is attached) and the staging sink.
 struct Pipeline<'w> {
-    wal: Arc<Mutex<Wal>>,
     health: &'w Health,
     policy: DurabilityPolicy,
     metrics: Option<&'w AdmissionMetrics>,
+    /// The committer's log; `None` releases admitted tickets in place.
+    wal: Option<Arc<Mutex<Wal>>>,
     /// When attached, every batch's record bytes are teed to the
     /// replicas after the local sync; under
     /// [`AckPolicy::ReplicaK`](super::repl::AckPolicy::ReplicaK) the
     /// batch's tickets are withheld until enough replicas acked.
-    repl: Option<Arc<super::repl::Replicator>>,
+    repl: Option<Arc<Replicator>>,
     /// The [`StagedSink`] buffer the worker drains after each
     /// `try_apply_batch`.
     staged: Arc<Mutex<Vec<u8>>>,
@@ -772,13 +942,73 @@ struct Pipeline<'w> {
 }
 
 impl Pipeline<'_> {
+    /// The committer's log (reached only on the committer path).
+    fn wal(&self) -> std::sync::MutexGuard<'_, Wal> {
+        lock(self.wal.as_ref().expect("the committer runs only with a wal"))
+    }
+
+    /// The release step for a block's admitted ops (and, with a
+    /// committer, whatever the sink staged). With a committer, the
+    /// tickets and record bytes are handed over, to be answered once
+    /// durable; in place they are answered now — the monitor's own
+    /// sink, if any, already ran inside `try_apply_batch`.
+    fn release<'t>(
+        &self,
+        lane: usize,
+        t0: Instant,
+        admitted: impl ExactSizeIterator<Item = Answer<'t>>,
+        committer: Option<&mpsc::Sender<Msg<'t>>>,
+    ) {
+        let n = admitted.len();
+        let metrics = self.metrics.filter(|_| n > 0);
+        if let Some(h) = metrics.and_then(|m| m.block_size.get(lane)) {
+            h.record(n as u64);
+        }
+        match committer {
+            Some(tx) => {
+                let bytes = std::mem::take(&mut *lock(&self.staged));
+                if n > 0 || !bytes.is_empty() {
+                    // The committer owns these acks now.
+                    tx.send(Msg::Commit { bytes, answers: admitted.collect(), lane, t0 })
+                        .expect("committer outlives the worker");
+                }
+            }
+            None => {
+                if let Some(h) = metrics.and_then(|m| m.commit_latency_us.get(lane)) {
+                    h.record_since(t0);
+                }
+                for a in admitted {
+                    a.answer(Ok(()));
+                }
+            }
+        }
+    }
+
+    /// Healthy again after a committer failure (`rearm`): wind the
+    /// monitor back to the durable log before anything builds on it —
+    /// tracking committed blocks whose records were dropped. Nothing to
+    /// do in place, where tracking never runs ahead of the log.
+    fn resync_if_rearmed(
+        &self,
+        monitor: &mut ShardedMonitor<'_>,
+        committer: Option<&mpsc::Sender<Msg<'_>>>,
+    ) {
+        let Some(tx) = committer else { return };
+        if self.needs_resync.load(Ordering::SeqCst) && !self.health.is_degraded() {
+            let _ = flush_committer(tx);
+            if self.needs_resync.swap(false, Ordering::SeqCst) && try_resync(monitor, self) {
+                let _ = tx.send(Msg::Reset);
+            }
+        }
+    }
+
     /// Run a WAL operation under the retry budget: transient faults are
     /// absorbed with bounded linear backoff. The lock is released
     /// across each backoff sleep — the worker may need it meanwhile.
     fn retry(&self, mut op: impl FnMut(&mut Wal) -> Result<(), WalError>) -> Result<(), WalError> {
         let mut attempts = 0u32;
         loop {
-            match op(&mut lock(&self.wal)) {
+            match op(&mut self.wal()) {
                 Ok(()) => return Ok(()),
                 Err(_) if attempts < self.policy.retries => {
                     attempts += 1;
@@ -813,7 +1043,7 @@ impl Pipeline<'_> {
     ) {
         let reason =
             format!("write-ahead {site} failed after {} retries: {e}", self.policy.retries);
-        lock(&self.wal).rollback_unsynced();
+        self.wal().rollback_unsynced();
         self.needs_resync.store(true, Ordering::SeqCst);
         self.health.degrade(&reason);
         for (answers, _, _) in appended.drain(..) {
@@ -828,10 +1058,9 @@ impl Pipeline<'_> {
 /// [`FsyncPolicy::Batch`](super::FsyncPolicy::Batch); per record under
 /// `Always`, never under `Off`), and only then release the batch's
 /// tickets — group commit, with the sync latency overlapping the
-/// worker's staging of the next blocks. The degraded-mode retry
-/// semantics live here now: an exhausted append or sync rolls the
-/// unsynced suffix back, degrades the server, and answers every
-/// affected ticket `Degraded`.
+/// worker's staging of the next blocks. An exhausted append or sync
+/// rolls the unsynced suffix back, degrades the server, and answers
+/// every affected ticket `Degraded`.
 fn committer_loop<'t>(pipe: &Pipeline<'_>, rx: &mpsc::Receiver<Msg<'t>>) {
     let mut broken = pipe.health.is_degraded();
     while let Ok(first) = rx.recv() {
@@ -893,9 +1122,7 @@ fn committer_loop<'t>(pipe: &Pipeline<'_>, rx: &mpsc::Receiver<Msg<'t>>) {
                                 if let Some(h) =
                                     pipe.metrics.and_then(|m| m.commit_latency_us.get(lane))
                                 {
-                                    h.record(
-                                        u64::try_from(t0.elapsed().as_micros()).unwrap_or(u64::MAX),
-                                    );
+                                    h.record_since(t0);
                                 }
                                 for a in answers {
                                     a.answer(Ok(()));
@@ -937,7 +1164,7 @@ fn committer_loop<'t>(pipe: &Pipeline<'_>, rx: &mpsc::Receiver<Msg<'t>>) {
 /// tail), in place. `false` re-degrades and leaves the resync pending:
 /// a log that cannot even be read back is operator territory.
 fn try_resync(monitor: &mut ShardedMonitor<'_>, pipe: &Pipeline<'_>) -> bool {
-    let dir = lock(&pipe.wal).dir().to_path_buf();
+    let dir = pipe.wal().dir().to_path_buf();
     match Wal::load(&dir).and_then(|(snap, tail)| monitor.resync(snap, tail)) {
         Ok(()) => true,
         Err(e) => {
@@ -954,322 +1181,6 @@ fn try_resync(monitor: &mut ShardedMonitor<'_>, pipe: &Pipeline<'_>) -> bool {
 fn flush_committer(tx: &mpsc::Sender<Msg<'_>>) -> bool {
     let (ftx, frx) = mpsc::channel();
     tx.send(Msg::Flush(ftx)).is_ok() && frx.recv() == Ok(true)
-}
-
-/// The two-stage admission loop behind [`serve_pipelined`]: drains and
-/// admits exactly like [`admission_loop`], but instead of acking
-/// admitted ops it forwards each block's staged record bytes plus its
-/// tickets to the committer, which releases them only once durable.
-/// Violations and language errors carry no state change and are still
-/// answered directly here.
-fn pipelined_loop<'t, 'a>(
-    monitor: &mut ShardedMonitor<'a>,
-    shared: &Shared<'t, 'a>,
-    max_block: usize,
-    maintenance_every: usize,
-    maintenance: &mut (impl FnMut(&mut ShardedMonitor<'a>) + Send),
-    pipe: &Pipeline<'_>,
-    tx: &mpsc::Sender<Msg<'t>>,
-) -> IngressStats {
-    let mut stats = IngressStats::default();
-    let mut cursor = 0usize;
-    loop {
-        let (lane, block) = match shared.next_work(cursor, max_block, &mut stats, pipe.metrics) {
-            Work::Drained => {
-                // Drain barrier: every forwarded ticket must be
-                // answered (durable or refused) before serve returns.
-                let _ = flush_committer(tx);
-                // Resolve a pending divergence even in degraded mode,
-                // so the caller's final checkpoint snapshots exactly
-                // the durable state.
-                if pipe.needs_resync.swap(false, Ordering::SeqCst) {
-                    try_resync(monitor, pipe);
-                }
-                return stats;
-            }
-            Work::Admin(op, read_only) => {
-                if read_only {
-                    // Read-only ops skip the flush barrier entirely:
-                    // they stage nothing, a slightly-stale (or even
-                    // degraded) monitor is a consistent read, and the
-                    // committer is never involved.
-                    op(Ok(monitor))(true);
-                    continue;
-                }
-                // Barrier: everything forwarded before the op must be
-                // durable (its tickets answered by the committer) before
-                // the op sees the monitor — and a monitor that ran ahead
-                // of a broken log is wound back first, so the op never
-                // builds on tracking the durable image contradicts.
-                let flushed = flush_committer(tx);
-                if pipe.needs_resync.load(Ordering::SeqCst)
-                    && !pipe.health.is_degraded()
-                    && pipe.needs_resync.swap(false, Ordering::SeqCst)
-                    && try_resync(monitor, pipe)
-                {
-                    let _ = tx.send(Msg::Reset);
-                }
-                if flushed && !pipe.health.is_degraded() {
-                    let done = op(Ok(monitor));
-                    // Whatever the op staged through the sink rides the
-                    // committer like a block with no tickets; its reply
-                    // is released only once the record is durable.
-                    let bytes = std::mem::take(&mut *lock(&pipe.staged));
-                    if !bytes.is_empty() {
-                        tx.send(Msg::Commit {
-                            bytes,
-                            answers: Vec::new(),
-                            lane: 0,
-                            t0: Instant::now(),
-                        })
-                        .expect("committer outlives the worker");
-                    }
-                    done(flush_committer(tx));
-                } else {
-                    let reason = if pipe.health.is_degraded() {
-                        pipe.health.reason()
-                    } else {
-                        "write-ahead committer unavailable".to_owned()
-                    };
-                    op(Err(reason))(true);
-                }
-                continue;
-            }
-            Work::Block(lane, block) => (lane, block),
-        };
-        shared.notify_space();
-        cursor = lane + 1;
-        stats.blocks += 1;
-
-        // Healthy again after a committer failure (`rearm`): wind the
-        // monitor back to the durable log before admitting on top of
-        // it — tracking committed blocks whose records were dropped.
-        if pipe.needs_resync.load(Ordering::SeqCst) && !pipe.health.is_degraded() {
-            let _ = flush_committer(tx);
-            if pipe.needs_resync.swap(false, Ordering::SeqCst) && try_resync(monitor, pipe) {
-                let _ = tx.send(Msg::Reset);
-            }
-        }
-
-        if pipe.health.is_degraded() {
-            // Degraded read-only mode: refuse before touching the
-            // engine, exactly like the synchronous path.
-            let reason = pipe.health.reason();
-            stats.refused += block.len();
-            for op in block {
-                op.reply.answer(Err(EnforceError::Degraded(reason.clone())));
-            }
-            continue;
-        }
-
-        let t0 = Instant::now();
-        let mut ops = block;
-        let mut attempts = 0u32;
-        loop {
-            let (done, err) = monitor.try_apply_batch(ops.iter().map(|op| (op.t, &op.args)));
-            stats.admitted += done;
-            let mut rest = ops.into_iter();
-            let answers: Vec<Answer<'t>> = rest.by_ref().take(done).map(|op| op.reply).collect();
-            let bytes = std::mem::take(&mut *lock(&pipe.staged));
-            if !answers.is_empty() || !bytes.is_empty() {
-                if let Some(h) = pipe.metrics.and_then(|m| m.block_size.get(lane)) {
-                    h.record(done as u64);
-                }
-                // The committer owns these acks now: released only once
-                // the bytes are durable under the configured policy.
-                tx.send(Msg::Commit { bytes, answers, lane, t0 })
-                    .expect("committer outlives the worker");
-            }
-            match err {
-                None => {
-                    debug_assert_eq!(rest.len(), 0, "without an error every op commits");
-                    break;
-                }
-                // With the staging sink the only admission-path
-                // durability failure left is a block encoding past the
-                // record cap; keep the synchronous path's retry/degrade
-                // contract for it.
-                Some(EnforceError::Durability(e)) => {
-                    let rest: Vec<Op<'t>> = rest.collect();
-                    if attempts < pipe.policy.retries {
-                        attempts += 1;
-                        stats.retries += 1;
-                        std::thread::sleep(pipe.policy.backoff.saturating_mul(attempts));
-                        ops = rest;
-                        continue;
-                    }
-                    let reason =
-                        format!("write-ahead staging failed after {attempts} retries: {e}");
-                    pipe.health.degrade(&reason);
-                    stats.refused += rest.len();
-                    for op in rest {
-                        op.reply.answer(Err(EnforceError::Degraded(reason.clone())));
-                    }
-                    break;
-                }
-                Some(e) => {
-                    stats.rejected += 1;
-                    if let Some(op) = rest.next() {
-                        op.reply.answer(Err(e));
-                    }
-                    // Ops behind the violator were rolled back
-                    // unattempted: back to the front of their lane,
-                    // order preserved.
-                    let rest: Vec<Op<'t>> = rest.collect();
-                    if !rest.is_empty() {
-                        stats.requeued += rest.len();
-                        let mut st = shared.state.lock().expect("ingress poisoned");
-                        for op in rest.into_iter().rev() {
-                            st.lanes[lane].push_front(op);
-                        }
-                    }
-                    break;
-                }
-            }
-        }
-        // Maintenance rides the block cadence, but behind a flush
-        // barrier: a checkpoint must neither capture tracking state
-        // whose records a broken committer dropped, nor seal a log
-        // whose unsynced tail the checkpoint claims to cover.
-        if maintenance_every > 0
-            && stats.blocks.is_multiple_of(maintenance_every)
-            && flush_committer(tx)
-        {
-            let m0 = Instant::now();
-            maintenance(monitor);
-            if let Some(m) = pipe.metrics {
-                m.checkpoint_stall_us
-                    .record(u64::try_from(m0.elapsed().as_micros()).unwrap_or(u64::MAX));
-            }
-        }
-    }
-}
-
-/// [`serve_guarded`] with **pipelined group commit**: the tentpole
-/// two-stage admission pipeline.
-///
-/// The admission worker stages and commits tracking exactly as the
-/// synchronous path does, but instead of appending and syncing inline
-/// (one disk round-trip serialized into every block) it hands each
-/// admitted block's framed record bytes to a dedicated **committer
-/// thread** over a channel. The committer batches whatever has
-/// accumulated, appends it, issues **one** `fdatasync` per batch
-/// ([`FsyncPolicy::Batch`](super::FsyncPolicy::Batch)), and only then
-/// releases the batch's tickets — so an ack still strictly implies
-/// durability under the configured policy, but the fsync latency
-/// overlaps the staging of the next blocks instead of stalling it.
-///
-/// The retry/degrade semantics of [`serve_guarded`] move to the
-/// committer. Because tracking now commits *before* durability, a
-/// committer failure leaves the monitor ahead of the (truncated) log;
-/// the worker repairs this by **resynchronizing** the monitor from the
-/// checkpoint chain + log tail at the first healthy block after
-/// [`Health::rearm`] (and at drain-out), so recovery's byte-identity
-/// contract is preserved at every fault site.
-///
-/// `wal` is the shared write-ahead log the committer appends to — the
-/// same handle the maintenance hook checkpoints through. The monitor's
-/// sink is replaced by the pipeline's staging sink for the duration
-/// and restored on exit. `metrics`, when given, is stamped with queue
-/// depths, block sizes, commit latencies, fsync batch sizes and
-/// checkpoint stalls.
-#[allow(clippy::too_many_arguments)]
-pub fn serve_pipelined<'t, 'a, R>(
-    monitor: &mut ShardedMonitor<'a>,
-    config: &IngressConfig,
-    policy: &DurabilityPolicy,
-    health: &Health,
-    wal: Arc<Mutex<Wal>>,
-    metrics: Option<&AdmissionMetrics>,
-    maintenance_every: usize,
-    maintenance: impl FnMut(&mut ShardedMonitor<'a>) + Send,
-    drive: impl FnOnce(&IngressClient<'t, '_, '_>) -> R,
-) -> (R, IngressStats) {
-    serve_pipelined_repl(
-        monitor,
-        config,
-        policy,
-        health,
-        wal,
-        metrics,
-        None,
-        maintenance_every,
-        maintenance,
-        drive,
-    )
-}
-
-/// [`serve_pipelined`] with a replication tee: every batch the
-/// committer syncs is also handed to `repl`
-/// ([`Replicator::ship_and_wait`](super::repl::Replicator::ship_and_wait)),
-/// and under [`AckPolicy::ReplicaK`](super::repl::AckPolicy::ReplicaK)
-/// the batch's tickets are released only once enough replicas
-/// acknowledged the bytes — the durability/latency dial of the
-/// replication tentpole.
-#[allow(clippy::too_many_arguments)]
-pub fn serve_pipelined_repl<'t, 'a, R>(
-    monitor: &mut ShardedMonitor<'a>,
-    config: &IngressConfig,
-    policy: &DurabilityPolicy,
-    health: &Health,
-    wal: Arc<Mutex<Wal>>,
-    metrics: Option<&AdmissionMetrics>,
-    repl: Option<Arc<super::repl::Replicator>>,
-    maintenance_every: usize,
-    mut maintenance: impl FnMut(&mut ShardedMonitor<'a>) + Send,
-    drive: impl FnOnce(&IngressClient<'t, '_, '_>) -> R,
-) -> (R, IngressStats) {
-    let staged: Arc<Mutex<Vec<u8>>> = Arc::new(Mutex::new(Vec::new()));
-    let previous =
-        monitor.set_sink(Some(Arc::new(Mutex::new(StagedSink { staged: staged.clone() }))));
-    let pipe = Pipeline {
-        wal,
-        health,
-        policy: *policy,
-        metrics,
-        repl,
-        staged,
-        needs_resync: AtomicBool::new(false),
-        refused: AtomicUsize::new(0),
-        retries: AtomicUsize::new(0),
-    };
-    let shared = Shared::new(monitor, config);
-    let max_block = config.max_block.max(1);
-    let (tx, rx) = mpsc::channel::<Msg<'t>>();
-    let (out, mut stats) = std::thread::scope(|scope| {
-        let pipe_ref = &pipe;
-        let committer = scope.spawn(move || committer_loop(pipe_ref, &rx));
-        let worker = {
-            let (shared, worker_tx) = (&shared, tx.clone());
-            let maintenance = &mut maintenance;
-            let monitor = &mut *monitor;
-            scope.spawn(move || {
-                pipelined_loop(
-                    monitor,
-                    shared,
-                    max_block,
-                    maintenance_every,
-                    maintenance,
-                    pipe_ref,
-                    &worker_tx,
-                )
-            })
-        };
-        let guard = CloseGuard(&shared);
-        let out = drive(&IngressClient { shared: &shared });
-        drop(guard);
-        let stats = worker.join().expect("admission worker panicked");
-        // The worker's sender is gone; dropping ours closes the channel
-        // and the committer (which answered everything pending at the
-        // worker's final flush) exits.
-        drop(tx);
-        committer.join().expect("committer thread panicked");
-        (out, stats)
-    });
-    monitor.set_sink(previous);
-    stats.refused += pipe.refused.load(Ordering::SeqCst);
-    stats.retries += pipe.retries.load(Ordering::SeqCst);
-    (out, stats)
 }
 
 #[cfg(test)]
@@ -1351,10 +1262,10 @@ mod tests {
         let mut clocks_seen = Vec::new();
         let cfg = IngressConfig { queue_capacity: 4, max_block: 1 };
         const OPS: usize = 24;
-        let ((), stats) = serve_with(
+        let opts = ServeOptions { config: cfg, maintenance_every: 4, ..ServeOptions::default() };
+        let ((), stats) = run(
             &mut m,
-            &cfg,
-            4,
+            &opts,
             |m| {
                 calls += 1;
                 clocks_seen.push(m.clock(0));
@@ -1624,17 +1535,15 @@ mod tests {
         let dir = pipelined_temp_dir("smoke");
         let wal = Arc::new(Mutex::new(Wal::open(&dir).unwrap().with_fsync(FsyncPolicy::Batch)));
         let mut m = ShardedMonitor::new(&s, &a, &inv, PatternKind::All, 3);
-        let health = Health::new();
-        let cfg = IngressConfig { queue_capacity: 8, max_block: 16 };
+        let opts = ServeOptions {
+            config: IngressConfig { queue_capacity: 8, max_block: 16 },
+            wal: Some(wal.clone()),
+            ..ServeOptions::default()
+        };
         const PER: usize = 40;
-        let ((), stats) = serve_pipelined(
+        let ((), stats) = run(
             &mut m,
-            &cfg,
-            &DurabilityPolicy::default(),
-            &health,
-            wal.clone(),
-            None,
-            0,
+            &opts,
             |_| {},
             |client| {
                 std::thread::scope(|scope| {
@@ -1667,12 +1576,12 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// Violations are answered on the worker (no state change → no
-    /// durability requirement) while admitted neighbours flow through
-    /// the committer; the re-queue discipline is unchanged.
-    #[test]
-    fn pipelined_violation_rejects_and_requeues_like_the_sync_path() {
-        use crate::enforce::{FsyncPolicy, Wal};
+    /// One lane, pipelined: make x, specialize it, specialize again
+    /// (violates: 𝔏 allows one [S0] and then only ∅), then make y —
+    /// which must still be attempted after the violation, and is itself
+    /// rejected, since it gives x a second [S0] letter. Run under either
+    /// release step.
+    fn violation_requeue_case(opts: &ServeOptions<'_>) {
         let s = multi_schema();
         let a = RoleAlphabet::new(&s, 0).unwrap();
         let inv = Inventory::parse_init(&s, &a, "∅* [R0]* [S0] ∅*").unwrap();
@@ -1684,21 +1593,13 @@ mod tests {
         ",
         )
         .unwrap();
-        let dir = pipelined_temp_dir("violation");
-        let wal = Arc::new(Mutex::new(Wal::open(&dir).unwrap().with_fsync(FsyncPolicy::Batch)));
         let mut m = ShardedMonitor::new(&s, &a, &inv, PatternKind::All, 3);
-        let health = Health::new();
         let mk0 = ts.get("Mk0").unwrap();
         let up0 = ts.get("Up0").unwrap();
         let key = |k: &str| Assignment::new(vec![Value::str(k)]);
-        let ((), stats) = serve_pipelined(
+        let ((), stats) = run(
             &mut m,
-            &IngressConfig::default(),
-            &DurabilityPolicy::default(),
-            &health,
-            wal,
-            None,
-            0,
+            opts,
             |_| {},
             |client| {
                 let t1 = client.post(mk0, key("x"));
@@ -1713,46 +1614,22 @@ mod tests {
         );
         assert_eq!((stats.admitted, stats.rejected), (2, 2));
         assert_eq!(m.db().num_objects(), 1, "only x exists; y was rejected");
+    }
+
+    /// Violations are answered on the worker (no state change → no
+    /// durability requirement) while admitted neighbours flow through
+    /// the committer; the re-queue discipline is the in-place one.
+    #[test]
+    fn pipelined_violation_rejects_and_requeues_like_the_sync_path() {
+        use crate::enforce::{FsyncPolicy, Wal};
+        let dir = pipelined_temp_dir("violation");
+        let wal = Arc::new(Mutex::new(Wal::open(&dir).unwrap().with_fsync(FsyncPolicy::Batch)));
+        violation_requeue_case(&ServeOptions { wal: Some(wal), ..ServeOptions::default() });
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn violation_rejects_one_op_and_requeues_the_rest() {
-        let s = multi_schema();
-        let a = RoleAlphabet::new(&s, 0).unwrap();
-        // One-way street: R0 may specialize, never come back, and the
-        // pattern must end after [S0].
-        let inv = Inventory::parse_init(&s, &a, "∅* [R0]* [S0] ∅*").unwrap();
-        let ts = parse_transactions(
-            &s,
-            r"
-            transaction Mk0(x) { create(R0, { K0 = x }); }
-            transaction Up0(x) { specialize(R0, S0, { K0 = x }, {}); }
-            transaction Mk1(x) { create(R1, { K1 = x }); }
-        ",
-        )
-        .unwrap();
-        let mut m = ShardedMonitor::new(&s, &a, &inv, PatternKind::All, 3);
-        let mk0 = ts.get("Mk0").unwrap();
-        let up0 = ts.get("Up0").unwrap();
-        let key = |k: &str| Assignment::new(vec![Value::str(k)]);
-        let ((), stats) = serve(&mut m, &IngressConfig::default(), |client| {
-            // Pipelined into one lane: make, specialize, then a second
-            // specialize that violates ([S0][S0] ∉ 𝔏 — wait, the
-            // *letter* after [S0] must be ∅; re-specializing keeps x at
-            // [S0] which 𝔏 forbids after the single [S0]), then a make
-            // that must still admit afterwards.
-            let t1 = client.post(mk0, key("x"));
-            let t2 = client.post(up0, key("x"));
-            let t3 = client.post(up0, key("x"));
-            let t4 = client.post(mk0, key("y"));
-            assert!(t1.wait().is_ok());
-            assert!(t2.wait().is_ok());
-            assert!(matches!(t3.wait(), Err(EnforceError::Violation(_))));
-            assert!(t4.wait().is_err(), "y's creation gives x a second [S0] letter");
-        });
-        assert_eq!(stats.admitted, 2);
-        assert_eq!(stats.rejected, 2);
-        assert_eq!(m.db().num_objects(), 1, "only x exists; y was rejected");
+        violation_requeue_case(&ServeOptions::default());
     }
 }

@@ -9,9 +9,11 @@
 //! commit latency) carry a `shard` label; pipeline-global series
 //! (fsync batch size, checkpoint stall) do not.
 //!
-//! The flat `stats` wire verb stays untouched (it is test-locked);
-//! `stats prom` returns [`AdmissionMetrics::render_prometheus`] as a
-//! length-prefixed payload.
+//! One [`AdmissionMetrics`] is a server's single registry: the flat
+//! `stats` wire verb (test-locked, byte-stable) reads its evolution
+//! gauges, and `stats prom` returns
+//! [`AdmissionMetrics::render_prometheus`] as a length-prefixed
+//! payload.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -60,6 +62,11 @@ impl Histogram {
         self.buckets[bucket_of(v)].fetch_add(1, Ordering::Relaxed);
         self.sum.fetch_add(v, Ordering::Relaxed);
         self.count.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Record the microseconds elapsed since `t0` (saturating).
+    pub fn record_since(&self, t0: std::time::Instant) {
+        self.record(u64::try_from(t0.elapsed().as_micros()).unwrap_or(u64::MAX));
     }
 
     /// Samples recorded so far.
@@ -208,6 +215,15 @@ impl AdmissionMetrics {
             repl_live_replicas: AtomicU64::new(0),
             repl_applied_records: AtomicU64::new(0),
         }
+    }
+
+    /// Store the constraint-evolution gauges: the current epoch, the
+    /// redefinitions applied and the objects quarantined over the
+    /// monitor's history.
+    pub fn set_evolution(&self, epoch: u64, redefines: u64, quarantined: u64) {
+        self.epoch.store(epoch, Ordering::SeqCst);
+        self.redefine_total.store(redefines, Ordering::SeqCst);
+        self.quarantined_objects.store(quarantined, Ordering::SeqCst);
     }
 
     /// The Prometheus text exposition of every series.

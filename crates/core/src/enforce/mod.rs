@@ -132,7 +132,7 @@ pub mod wal;
 
 pub use faults::{FaultKind, FaultSite, IoFaults};
 pub use health::{CheckpointHealth, Health};
-pub use ingress::{Completion, DurabilityPolicy, IngressConfig, IngressStats};
+pub use ingress::{Completion, DurabilityPolicy, IngressConfig, IngressStats, ServeOptions};
 pub use metrics::{AdmissionMetrics, Histogram};
 pub use repl::{AckPolicy, ReplicaCtl, Replicator, ShipFault};
 pub use sharded::{ShardStats, ShardedMonitor};
@@ -222,17 +222,54 @@ impl Violation {
     /// Render with role-set names from the alphabet.
     #[must_use]
     pub fn display(&self, alphabet: &RoleAlphabet) -> String {
+        self.display_within(alphabet, usize::MAX)
+    }
+
+    /// [`Violation::display`] bounded to `max` bytes: when the full
+    /// rendering is longer, the middle of the pattern is replaced by an
+    /// explicit `… N letters elided …` marker. The first and last
+    /// letters (the offending one included) and the `[epoch E]` suffix
+    /// are kept; a rendering that fits is returned unchanged.
+    #[must_use]
+    pub fn display_within(&self, alphabet: &RoleAlphabet, max: usize) -> String {
         let who = match self.oid {
             Some(o) => format!("object o{}", o.0),
             None => "never-created objects".to_owned(),
         };
-        format!(
-            "{} would follow the pattern {} ∉ 𝔏 (offending role set {}) [epoch {}]",
-            who,
-            alphabet.display_word(&self.pattern),
-            alphabet.name(self.letter),
-            self.epoch,
-        )
+        let render = |word: &str| {
+            format!(
+                "{who} would follow the pattern {word} ∉ 𝔏 (offending role set {}) [epoch {}]",
+                alphabet.name(self.letter),
+                self.epoch,
+            )
+        };
+        let word = alphabet.display_word(&self.pattern);
+        let full = render(&word);
+        if full.len() <= max {
+            return full;
+        }
+        // Each kept letter costs its name plus one separator; each side
+        // gets half of what the fixed text and the widest marker leave.
+        let n = self.pattern.len();
+        let widest = format!("… {n} letters elided …").len();
+        let side = max.saturating_sub(full.len() - word.len() + widest) / 2;
+        let names = |iter: &mut dyn Iterator<Item = &u32>| {
+            let mut used = 0;
+            iter.map(|&l| alphabet.name(l))
+                .take_while(|name| {
+                    used += name.len() + 1;
+                    used <= side
+                })
+                .collect::<Vec<_>>()
+        };
+        let head = names(&mut self.pattern.iter());
+        let mut tail = names(&mut self.pattern.iter().skip(head.len()).rev());
+        tail.reverse();
+        let marker = format!("… {} letters elided …", n - head.len() - tail.len());
+        let mut parts = head;
+        parts.push(&marker);
+        parts.extend(tail);
+        render(&parts.join(" "))
     }
 }
 
@@ -683,7 +720,7 @@ impl<'a> Monitor<'a> {
     /// The viability of consumed history is decided per *cohort*, never
     /// per object: a product construction walks the old DFA × new DFA
     /// over every path the old DFA certifies
-    /// ([`delta::viability_map`]); a cohort is viable iff all enforced
+    /// (`delta::viability_map`); a cohort is viable iff all enforced
     /// histories ending in its old state land in exactly one accepting
     /// new state. Viable cohorts remap wholesale; the residue is
     /// quarantined or reset per `policy`. Total cost O(|Q_old| ×

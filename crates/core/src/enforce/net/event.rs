@@ -205,19 +205,42 @@ fn token_eq(expected: &str, got: &str) -> bool {
     (0..4).fold(0u64, |acc, i| acc | (a[i] ^ b[i])) == 0
 }
 
+/// Encode one reply in the request's dialect: a `kind` frame carrying
+/// `msg`, or the text line `<word> <msg>\n` (`<word>\n` for an empty
+/// `msg`).
+fn reply(binary: bool, kind: u8, word: &str, msg: &str) -> Vec<u8> {
+    let mut out = Vec::with_capacity(frame::HEADER_LEN + word.len() + msg.len() + 1);
+    if binary {
+        frame::encode(&mut out, kind, msg.as_bytes());
+    } else {
+        out.extend_from_slice(word.as_bytes());
+        if !msg.is_empty() {
+            out.push(b' ');
+            out.extend_from_slice(msg.as_bytes());
+        }
+        out.push(b'\n');
+    }
+    out
+}
+
+/// An `ok` reply carrying `msg`.
+fn ok_reply(binary: bool, msg: &str) -> Vec<u8> {
+    reply(binary, frame::REP_OK, "ok", msg)
+}
+
 /// Count an error reply (uniformly, at slot creation) and encode it in
 /// the request's dialect: `error <msg>\n` or a [`frame::REP_ERROR`]
 /// frame carrying `<msg>`.
 fn error_reply(ev: &EventShared, binary: bool, msg: &str) -> Vec<u8> {
     ev.errors.fetch_add(1, Ordering::SeqCst);
-    if binary {
-        let mut out = Vec::new();
-        frame::encode(&mut out, frame::REP_ERROR, msg.as_bytes());
-        out
-    } else {
-        format!("error {msg}\n").into_bytes()
-    }
+    reply(binary, frame::REP_ERROR, "error", msg)
 }
+
+/// Longest violation diagnostic on the wire: its text reply line
+/// (`violation <diag>\n`) fits [`MAX_LINE`], and the binary dialect
+/// carries the same bytes, so a long pattern is elided identically in
+/// both (see [`Violation::display_within`](crate::enforce::Violation::display_within)).
+const MAX_DIAGNOSTIC: usize = MAX_LINE as usize - "violation \n".len();
 
 /// Encode an admission outcome in the request's dialect. Counting
 /// already happened in the completion callback — this only formats.
@@ -226,33 +249,14 @@ fn outcome_reply(
     binary: bool,
     alphabet: &RoleAlphabet,
 ) -> Vec<u8> {
-    let mut out = Vec::new();
     match outcome {
-        Ok(()) => {
-            if binary {
-                frame::encode(&mut out, frame::REP_OK, b"");
-            } else {
-                out.extend_from_slice(b"ok\n");
-            }
-        }
+        Ok(()) => ok_reply(binary, ""),
         Err(EnforceError::Violation(v)) => {
-            let diag = v.display(alphabet).to_string();
-            if binary {
-                frame::encode(&mut out, frame::REP_VIOLATION, diag.as_bytes());
-            } else {
-                out.extend_from_slice(format!("violation {diag}\n").as_bytes());
-            }
+            let diag = v.display_within(alphabet, MAX_DIAGNOSTIC);
+            reply(binary, frame::REP_VIOLATION, "violation", &diag)
         }
-        Err(e) => {
-            let msg = e.to_string();
-            if binary {
-                frame::encode(&mut out, frame::REP_ERROR, msg.as_bytes());
-            } else {
-                out.extend_from_slice(format!("error {msg}\n").as_bytes());
-            }
-        }
+        Err(e) => reply(binary, frame::REP_ERROR, "error", &e.to_string()),
     }
-    out
 }
 
 /// Build an `invoke`'s completion callback: count the outcome (here, on
@@ -434,8 +438,7 @@ fn post_redefine<'t>(
     let seq = c.push_slot(Slot::Waiting { binary });
     let (conn, owner) = (c.id, me);
     let ev = Arc::clone(ev);
-    let evo = Arc::clone(&shared.evo);
-    let metrics = shared.metrics.clone();
+    let metrics = Arc::clone(&shared.metrics);
     client.post_admin(Box::new(move |gate| {
         // Phase 1, on the admission worker between blocks: apply (or
         // learn why not). Totals are read while the monitor is still
@@ -450,23 +453,9 @@ fn post_redefine<'t>(
         };
         Box::new(move |durable: bool| {
             let bytes = match attempt {
-                Ok((Ok(out), totals)) if durable => {
-                    evo.epoch.store(totals.0, Ordering::SeqCst);
-                    evo.redefines.store(totals.1, Ordering::SeqCst);
-                    evo.quarantined.store(totals.2, Ordering::SeqCst);
-                    if let Some(m) = metrics.as_deref() {
-                        m.epoch.store(totals.0, Ordering::Relaxed);
-                        m.redefine_total.store(totals.1, Ordering::Relaxed);
-                        m.quarantined_objects.store(totals.2, Ordering::Relaxed);
-                    }
-                    let msg = format!("epoch={} residue={}", out.epoch, out.residue);
-                    if binary {
-                        let mut rep = Vec::new();
-                        frame::encode(&mut rep, frame::REP_OK, msg.as_bytes());
-                        rep
-                    } else {
-                        format!("ok {msg}\n").into_bytes()
-                    }
+                Ok((Ok(out), (epoch, redefines, quarantined))) if durable => {
+                    metrics.set_evolution(epoch, redefines, quarantined);
+                    ok_reply(binary, &format!("epoch={} residue={}", out.epoch, out.residue))
                 }
                 // The record never became durable: the worker winds the
                 // monitor back to the durable image before admitting
@@ -520,15 +509,7 @@ fn post_query<'t>(
         };
         Box::new(move |_durable: bool| {
             let bytes = match attempt {
-                Ok(msg) => {
-                    if binary {
-                        let mut rep = Vec::new();
-                        frame::encode(&mut rep, frame::REP_OK, msg.as_bytes());
-                        rep
-                    } else {
-                        format!("ok {msg}\n").into_bytes()
-                    }
-                }
+                Ok(msg) => ok_reply(binary, &msg),
                 Err(reason) => {
                     error_reply(&ev, binary, &EnforceError::Degraded(reason).to_string())
                 }
@@ -543,8 +524,9 @@ fn post_query<'t>(
 /// queues **behind** every apply batch the puller already posted — the
 /// shipped tail folds before the halt lands, and nothing of the acked
 /// stream is dropped. Phase 1 halts further applies and lifts the
-/// read-only refusal while the monitor is exclusively ours.
-#[allow(clippy::too_many_arguments)]
+/// read-only refusal while the monitor is exclusively ours. The
+/// evolution gauges need no refresh: the puller stored them after every
+/// folded batch.
 fn post_promote<'t>(
     c: &mut Conn<'t>,
     ctl: &Arc<crate::enforce::repl::ReplicaCtl>,
@@ -552,32 +534,17 @@ fn post_promote<'t>(
     me: usize,
     ev: &Arc<EventShared>,
     client: &IngressClient<'t, '_, '_>,
-    shared: &ServerShared<'_>,
 ) {
     let seq = c.push_slot(Slot::Waiting { binary });
     let (conn, owner) = (c.id, me);
     let ev = Arc::clone(ev);
     let ctl = Arc::clone(ctl);
-    let evo = Arc::clone(&shared.evo);
-    let metrics = shared.metrics.clone();
     ctl.request_stop();
     client.post_admin(Box::new(move |gate| {
         let attempt = match gate {
             Ok(m) => {
                 ctl.halt();
                 ctl.make_writable();
-                // The shipped history may carry redefinitions this
-                // server folded without going through its own
-                // `redefine` verb: refresh the evolution gauges so the
-                // promoted primary's `stats` tells the truth.
-                evo.epoch.store(m.epoch(), Ordering::SeqCst);
-                evo.redefines.store(m.redefine_total(), Ordering::SeqCst);
-                evo.quarantined.store(m.quarantined_total(), Ordering::SeqCst);
-                if let Some(mx) = metrics.as_deref() {
-                    mx.epoch.store(m.epoch(), Ordering::Relaxed);
-                    mx.redefine_total.store(m.redefine_total(), Ordering::Relaxed);
-                    mx.quarantined_objects.store(m.quarantined_total(), Ordering::Relaxed);
-                }
                 Ok((m.epoch(), ctl.applied()))
             }
             Err(reason) => Err(reason),
@@ -585,14 +552,7 @@ fn post_promote<'t>(
         Box::new(move |_durable: bool| {
             let bytes = match attempt {
                 Ok((epoch, applied)) => {
-                    let msg = format!("promoted epoch={epoch} applied={applied}");
-                    if binary {
-                        let mut rep = Vec::new();
-                        frame::encode(&mut rep, frame::REP_OK, msg.as_bytes());
-                        rep
-                    } else {
-                        format!("ok {msg}\n").into_bytes()
-                    }
+                    ok_reply(binary, &format!("promoted epoch={epoch} applied={applied}"))
                 }
                 Err(reason) => {
                     error_reply(&ev, binary, &EnforceError::Degraded(reason).to_string())
@@ -801,7 +761,7 @@ fn dispatch_verb<'t>(
                 );
                 c.push_slot(Slot::Ready(r));
             }
-            Some(ctl) => post_promote(c, ctl, false, me, ev, client, shared),
+            Some(ctl) => post_promote(c, ctl, false, me, ev, client),
         },
         "quit" => {
             c.teardown(Some(b"ok bye\n".to_vec()));

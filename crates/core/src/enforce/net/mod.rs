@@ -17,7 +17,7 @@
 //!
 //! # Shape
 //!
-//! [`serve`] wraps [`ingress::serve_guarded`]: the admission worker owns
+//! [`serve`] wraps [`ingress::run`]: the admission worker owns
 //! the [`ShardedMonitor`]; the driver is a **poll-based event core**
 //! ([`ServerConfig::io_threads`] threads) that multiplexes every client
 //! socket with nonblocking I/O — thread count is O(io_threads + shards),
@@ -79,14 +79,16 @@
 //!
 //! # Durability behind the server
 //!
-//! The caller attaches the WAL before serving
-//! ([`ShardedMonitor::with_sink`](super::ShardedMonitor::with_sink))
-//! and passes a maintenance hook; every
-//! [`ServerConfig::checkpoint_every`] blocks the admission worker calls
-//! it with exclusive access to the monitor — the `migctl serve`
-//! front end uses this to capture O(dirty) incremental checkpoints and
-//! hand them to a background [`Snapshotter`](super::Snapshotter) while
-//! traffic keeps flowing.
+//! The caller hands the WAL to the server ([`ServerConfig::wal`]: acks
+//! released by the committer thread once durable) or attaches a sink to
+//! the monitor before serving
+//! ([`ShardedMonitor::with_sink`](super::ShardedMonitor::with_sink):
+//! acks released in place after the synchronous append), and passes a
+//! maintenance hook; every [`ServerConfig::checkpoint_every`] blocks the
+//! admission worker calls it with exclusive access to the monitor — the
+//! `migctl serve` front end uses this to capture O(dirty) incremental
+//! checkpoints and hand them to a background
+//! [`Snapshotter`](super::Snapshotter) while traffic keeps flowing.
 //!
 //! ```
 //! use migratory_core::enforce::net::{self, ServerConfig};
@@ -124,7 +126,7 @@ mod event;
 pub mod frame;
 
 use super::health::Health;
-use super::ingress::{self, DurabilityPolicy, IngressConfig, IngressStats};
+use super::ingress::{self, DurabilityPolicy, IngressConfig, IngressStats, ServeOptions};
 use super::metrics::AdmissionMetrics;
 use super::sharded::ShardedMonitor;
 use super::wal::Wal;
@@ -133,7 +135,7 @@ use migratory_lang::TransactionSchema;
 use migratory_model::{Schema, Value};
 use std::net::TcpListener;
 use std::os::fd::AsRawFd;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
@@ -171,16 +173,24 @@ pub struct ServerConfig {
     /// How the admission worker treats failing write-ahead appends
     /// (retry budget, then degraded read-only mode).
     pub durability: DurabilityPolicy,
-    /// Write-ahead log handle for the pipelined committer. When set,
-    /// the server runs the two-stage admission pipeline
-    /// ([`ingress::serve_pipelined`]): the admission worker stages
-    /// records and a dedicated committer thread appends, issues one
-    /// fsync per batch (per [`Wal::fsync_policy`]), and only then
-    /// releases the acks. When `None`, the monitor's own
-    /// [`CommitSink`](super::CommitSink) (if any) runs synchronously on
-    /// the admission worker, as before.
+    /// Degraded-mode flag and checkpoint status: the admission worker
+    /// degrades it on persistent write-ahead failure, the `stats` and
+    /// `rearm` verbs read and clear it, and the caller can share it
+    /// with a [`Snapshotter`](super::Snapshotter) (via
+    /// [`Snapshotter::spawn_with`](super::Snapshotter::spawn_with)) so
+    /// checkpoint failures surface in the same place. Default: a fresh
+    /// one.
+    pub health: Arc<Health>,
+    /// Write-ahead log handle for the committer thread: admitted ops
+    /// are acked only once it appended them and synced (one fsync per
+    /// batch, per [`Wal::fsync_policy`]). When `None`, acks are
+    /// released in place on the admission worker, after the monitor's
+    /// own [`CommitSink`](super::CommitSink) (if any) ran.
     pub wal: Option<Arc<Mutex<Wal>>>,
-    /// Admission-latency histograms, shared with the `stats prom` verb.
+    /// The server's one metrics registry, behind both `stats` and
+    /// `stats prom` — histograms, counters and the evolution gauges
+    /// that `redefine` (and, on a replica, every folded batch of the
+    /// shipped stream) store into. `None`: the server creates its own.
     pub metrics: Option<Arc<AdmissionMetrics>>,
     /// Replication tee: when set (primary role; requires `wal`), the
     /// server accepts replica connections on the replicator's listener
@@ -210,6 +220,7 @@ impl std::fmt::Debug for ServerConfig {
             .field("max_connections", &self.max_connections)
             .field("auth", &self.auth.as_ref().map(|_| "<redacted>"))
             .field("durability", &self.durability)
+            .field("degraded", &self.health.is_degraded())
             .field("wal", &self.wal.is_some())
             .field("metrics", &self.metrics.is_some())
             .field("repl", &self.repl.is_some())
@@ -231,6 +242,7 @@ impl Default for ServerConfig {
             max_connections: 0,
             auth: None,
             durability: DurabilityPolicy::default(),
+            health: Arc::new(Health::new()),
             wal: None,
             metrics: None,
             repl: None,
@@ -351,20 +363,6 @@ pub fn parse_query(
     Ok((class, Condition::from_atoms(atoms)))
 }
 
-/// Constraint-evolution gauges: read by the `stats` verb on the event
-/// threads, stored by the `redefine` admin op on the admission worker
-/// once its record is durable, and mirrored into the Prometheus
-/// metrics when those are configured. Seeded from the monitor at serve
-/// time, so a recovered server reports its recovered epoch.
-pub(super) struct EvolutionGauges {
-    /// Current inventory epoch.
-    pub(super) epoch: AtomicU64,
-    /// Redefinitions applied over the monitor's history.
-    pub(super) redefines: AtomicU64,
-    /// Objects quarantined across every redefinition.
-    pub(super) quarantined: AtomicU64,
-}
-
 /// Per-server state shared by every event thread.
 struct ServerShared<'h> {
     /// Precomputed `schema` reply (the schema is immutable).
@@ -374,18 +372,16 @@ struct ServerShared<'h> {
     /// Degraded-mode flag and checkpoint status, shared with the
     /// admission worker and (via the caller) the snapshotter.
     health: &'h Health,
-    /// Admission histograms for the `stats prom` verb (absent when the
-    /// server was configured without them — `stats prom` then returns
-    /// an empty payload).
-    metrics: Option<Arc<AdmissionMetrics>>,
+    /// The server's one metrics registry: counters and histograms for
+    /// `stats prom`, evolution gauges for both `stats` forms (`Arc`:
+    /// the redefine admin op's completion outlives the event threads'
+    /// borrows).
+    metrics: Arc<AdmissionMetrics>,
     /// The schema behind the monitor: the `redefine` verb parses its
     /// new-inventory source against it on the event thread.
     schema: &'h Schema,
     /// The role alphabet the inventory source is parsed over.
     alphabet: &'h RoleAlphabet,
-    /// Evolution gauges for the `stats` line (`Arc`: the redefine admin
-    /// op's completion outlives the event threads' borrows).
-    evo: Arc<EvolutionGauges>,
     /// Replica switchboard, present only when serving `--replica-of`:
     /// write verbs are refused while it is read-only, and the `promote`
     /// verb flips it.
@@ -411,9 +407,9 @@ fn stats_line(ev: &event::EventShared, shared: &ServerShared<'_>) -> String {
         shared.lanes,
         if shared.health.is_degraded() { "yes" } else { "no" },
         shared.health.checkpoint_token(),
-        shared.evo.epoch.load(Ordering::SeqCst),
-        shared.evo.redefines.load(Ordering::SeqCst),
-        shared.evo.quarantined.load(Ordering::SeqCst),
+        shared.metrics.epoch.load(Ordering::SeqCst),
+        shared.metrics.redefine_total.load(Ordering::SeqCst),
+        shared.metrics.quarantined_objects.load(Ordering::SeqCst),
     );
     // Replication fields trail the stable flat line and appear only on
     // replicating servers, so the line is byte-identical to the
@@ -443,8 +439,7 @@ fn stats_line(ev: &event::EventShared, shared: &ServerShared<'_>) -> String {
 /// flat single-line form byte-for-byte.
 fn stats_reply(ev: &event::EventShared, shared: &ServerShared<'_>, prom: bool) -> Vec<u8> {
     if prom {
-        let body =
-            shared.metrics.as_deref().map(AdmissionMetrics::render_prometheus).unwrap_or_default();
+        let body = shared.metrics.render_prometheus();
         let mut out = format!("ok prom {}\n", body.len()).into_bytes();
         out.extend_from_slice(body.as_bytes());
         out
@@ -461,14 +456,16 @@ fn stats_reply(ev: &event::EventShared, shared: &ServerShared<'_>, prom: bool) -
 /// its own socket, then drain gracefully — every in-flight `invoke` is
 /// answered before its socket closes and the call returns.
 ///
-/// Attach policy and [`CommitSink`](super::CommitSink) to the monitor
-/// *before* serving; `maintenance` runs on the admission worker every
+/// Attach policy (and, without [`ServerConfig::wal`], any
+/// [`CommitSink`](super::CommitSink)) to the monitor *before* serving;
+/// `maintenance` runs on the admission worker every
 /// [`ServerConfig::checkpoint_every`] blocks with exclusive access to
-/// the monitor (see [`ingress::serve_with`]).
+/// the monitor (see [`ingress::run`]).
 ///
 /// # Errors
 /// Propagates the listener's fatal I/O errors (per-connection I/O
-/// errors only end that connection).
+/// errors only end that connection), and refuses a replication role
+/// without a WAL or a server configured as primary and replica at once.
 pub fn serve<'a, 't>(
     listener: TcpListener,
     monitor: &mut ShardedMonitor<'a>,
@@ -476,29 +473,18 @@ pub fn serve<'a, 't>(
     config: &ServerConfig,
     maintenance: impl FnMut(&mut ShardedMonitor<'a>) + Send,
 ) -> std::io::Result<NetStats> {
-    let health = Health::new();
-    serve_guarded(listener, monitor, ts, config, &health, maintenance)
-}
-
-/// [`serve`] with a caller-owned [`Health`]: the admission worker
-/// degrades it on persistent write-ahead failure, the `stats` verb and
-/// `rearm` verb read and clear it, and the caller can share the same
-/// handle with a [`Snapshotter`](super::Snapshotter) (via
-/// [`Snapshotter::spawn_with`](super::Snapshotter::spawn_with)) so
-/// checkpoint failures surface in the same place — this is what
-/// `migctl serve` does.
-///
-/// # Errors
-/// Propagates the listener's fatal I/O errors (per-connection I/O
-/// errors only end that connection).
-pub fn serve_guarded<'a, 't>(
-    listener: TcpListener,
-    monitor: &mut ShardedMonitor<'a>,
-    ts: &'t TransactionSchema,
-    config: &ServerConfig,
-    health: &Health,
-    maintenance: impl FnMut(&mut ShardedMonitor<'a>) + Send,
-) -> std::io::Result<NetStats> {
+    if (config.repl.is_some() || config.replica_of.is_some()) && config.wal.is_none() {
+        return Err(std::io::Error::new(
+            std::io::ErrorKind::InvalidInput,
+            "replication requires the durable pipeline (serve with a wal handle)",
+        ));
+    }
+    if config.repl.is_some() && config.replica_of.is_some() {
+        return Err(std::io::Error::new(
+            std::io::ErrorKind::InvalidInput,
+            "a server is a primary (repl) or a replica (replica_of), not both",
+        ));
+    }
     listener.set_nonblocking(true)?;
     // Re-arm the accept backlog: std's bind hardcodes 128, which makes
     // any >128-client connect burst sit out SYN retransmit timeouts.
@@ -514,37 +500,21 @@ pub fn serve_guarded<'a, 't>(
     for t in ts.transactions() {
         schema_line.push_str(&format!(" {}/{}", t.name, t.params.len()));
     }
-    let evo = Arc::new(EvolutionGauges {
-        epoch: AtomicU64::new(monitor.epoch()),
-        redefines: AtomicU64::new(monitor.redefine_total()),
-        quarantined: AtomicU64::new(monitor.quarantined_total()),
-    });
-    if let Some(m) = config.metrics.as_deref() {
-        m.epoch.store(monitor.epoch(), Ordering::SeqCst);
-        m.redefine_total.store(monitor.redefine_total(), Ordering::SeqCst);
-        m.quarantined_objects.store(monitor.quarantined_total(), Ordering::SeqCst);
-    }
-    if (config.repl.is_some() || config.replica_of.is_some()) && config.wal.is_none() {
-        return Err(std::io::Error::new(
-            std::io::ErrorKind::InvalidInput,
-            "replication requires the durable pipeline (serve with a wal handle)",
-        ));
-    }
-    if config.repl.is_some() && config.replica_of.is_some() {
-        return Err(std::io::Error::new(
-            std::io::ErrorKind::InvalidInput,
-            "a server is a primary (repl) or a replica (replica_of), not both",
-        ));
-    }
+    let metrics = config
+        .metrics
+        .clone()
+        .unwrap_or_else(|| Arc::new(AdmissionMetrics::new(monitor.num_shards())));
+    // Seeded from the monitor, so a recovered server reports its
+    // recovered epoch.
+    metrics.set_evolution(monitor.epoch(), monitor.redefine_total(), monitor.quarantined_total());
     let replica = config.replica_of.as_deref().map(|a| Arc::new(super::repl::ReplicaCtl::new(a)));
     let shared = ServerShared {
         schema_line,
         lanes: if monitor.routes_by_component() { monitor.num_shards() } else { 1 },
-        health,
-        metrics: config.metrics.clone(),
+        health: &config.health,
+        metrics: metrics.clone(),
         schema: monitor.schema(),
         alphabet,
-        evo,
         replica: replica.clone(),
         repl: config.repl.clone(),
     };
@@ -553,57 +523,40 @@ pub fn serve_guarded<'a, 't>(
     // once the event core returned; they are joined before the ingress
     // drains, so admin ops they posted are always answered.
     let repl_stop = std::sync::atomic::AtomicBool::new(false);
-    let (run_result, ingress_stats) = match config.wal.clone() {
-        Some(wal) => {
-            let puller_wal = wal.clone();
-            let out = ingress::serve_pipelined_repl(
-                monitor,
-                &config.ingress,
-                &config.durability,
-                health,
-                wal,
-                config.metrics.as_deref(),
-                config.repl.clone(),
-                config.checkpoint_every,
-                maintenance,
-                |client| {
-                    std::thread::scope(|rs| {
-                        if let Some(repl) = &config.repl {
-                            rs.spawn(|| super::repl::acceptor(repl, client, &repl_stop));
-                        }
-                        if let Some(ctl) = &replica {
-                            let (wal, metrics) = (&puller_wal, config.metrics.as_ref());
-                            rs.spawn(move || {
-                                super::repl::puller(ctl.upstream(), ctl, wal, client, metrics);
-                            });
-                        }
-                        let out = event::run(&listener, client, ts, alphabet, &shared, config, &ev);
-                        repl_stop.store(true, Ordering::SeqCst);
-                        if let Some(ctl) = &replica {
-                            ctl.request_stop();
-                        }
-                        out
-                    })
-                },
-            );
-            // Close the tee only after the pipeline returned: the
-            // worker drains and ships the tail *after* the event core
-            // stops accepting traffic.
+    let opts = ServeOptions {
+        config: config.ingress,
+        durability: config.durability,
+        health: Some(&config.health),
+        wal: config.wal.clone(),
+        metrics: Some(&metrics),
+        repl: config.repl.clone(),
+        maintenance_every: config.checkpoint_every,
+    };
+    let (run_result, ingress_stats) = ingress::run(monitor, &opts, maintenance, |client| {
+        std::thread::scope(|rs| {
             if let Some(repl) = &config.repl {
-                repl.close();
+                rs.spawn(|| super::repl::acceptor(repl, client, &repl_stop));
+            }
+            if let (Some(ctl), Some(wal)) = (&replica, &config.wal) {
+                let metrics = &metrics;
+                rs.spawn(move || {
+                    super::repl::puller(ctl.upstream(), ctl, wal, client, metrics);
+                });
+            }
+            let out = event::run(&listener, client, ts, alphabet, &shared, config, &ev);
+            repl_stop.store(true, Ordering::SeqCst);
+            if let Some(ctl) = &replica {
+                ctl.request_stop();
             }
             out
-        }
-        None => ingress::serve_guarded(
-            monitor,
-            &config.ingress,
-            &config.durability,
-            health,
-            config.checkpoint_every,
-            maintenance,
-            |client| event::run(&listener, client, ts, alphabet, &shared, config, &ev),
-        ),
-    };
+        })
+    });
+    // Close the tee only after the ingress returned: the worker drains
+    // and ships the tail *after* the event core stops accepting
+    // traffic.
+    if let Some(repl) = &config.repl {
+        repl.close();
+    }
     run_result?;
     Ok(NetStats {
         connections: ev.connections.load(Ordering::SeqCst),

@@ -22,8 +22,9 @@
 //! write-ahead log**. There is no per-record handshake — the framing's
 //! checksums make any cut a clean whole-record prefix, and the shard
 //! clocks carried by every record make re-delivery idempotent
-//! ([`ShardedMonitor::replay_record`]), so resync after a tear is
-//! always: reconnect, take a fresh snapshot, continue.
+//! ([`ShardedMonitor::replay_record`](super::ShardedMonitor::replay_record)),
+//! so resync after a tear is always: reconnect, take a fresh snapshot,
+//! continue.
 //!
 //! # Acknowledgement dial
 //!
@@ -282,7 +283,7 @@ impl Replicator {
             }
         };
         if let Some(m) = &self.metrics {
-            m.repl_ship_wait_us.record(u64::try_from(t0.elapsed().as_micros()).unwrap_or(u64::MAX));
+            m.repl_ship_wait_us.record_since(t0);
         }
         out
     }
@@ -531,13 +532,15 @@ fn complete_but_invalid(buf: &[u8]) -> bool {
 /// acked only once the replica's own committer made it durable. Any
 /// tear, gap or error drops the connection and resyncs from a fresh
 /// snapshot (idempotent: the shard clocks skip everything already
-/// folded). Runs until [`ReplicaCtl::request_stop`].
+/// folded). Runs until [`ReplicaCtl::request_stop`]. `metrics`
+/// receives the folded record count and the monitor's evolution gauges
+/// after the bootstrap and after every durable batch.
 pub fn puller<'t, 's>(
     addr: &str,
     ctl: &Arc<ReplicaCtl>,
     wal: &Arc<Mutex<Wal>>,
     client: &IngressClient<'t, 's, '_>,
-    metrics: Option<&Arc<AdmissionMetrics>>,
+    metrics: &Arc<AdmissionMetrics>,
 ) {
     let mut backoff = Duration::from_millis(50);
     while !ctl.stopped() {
@@ -553,13 +556,19 @@ pub fn puller<'t, 's>(
     }
 }
 
+/// The monitor's constraint-evolution totals: epoch, redefinitions,
+/// quarantined objects.
+fn evolution(m: &super::ShardedMonitor<'_>) -> (u64, u64, u64) {
+    (m.epoch(), m.redefine_total(), m.quarantined_total())
+}
+
 /// One replication session: bootstrap + stream until tear or stop.
 fn pull_once<'t, 's>(
     addr: &str,
     ctl: &Arc<ReplicaCtl>,
     wal: &Arc<Mutex<Wal>>,
     client: &IngressClient<'t, 's, '_>,
-    metrics: Option<&Arc<AdmissionMetrics>>,
+    metrics: &Arc<AdmissionMetrics>,
 ) -> Result<(), String> {
     let mut stream = TcpStream::connect(addr).map_err(|e| format!("connect {addr}: {e}"))?;
     let _ = stream.set_nodelay(true);
@@ -589,7 +598,7 @@ fn pull_once<'t, 's>(
     // so the replica's durable image covers exactly what its acks claim.
     let (btx, brx) = mpsc::channel::<Result<(), String>>();
     {
-        let (ctl, wal) = (Arc::clone(ctl), Arc::clone(wal));
+        let (ctl, wal, metrics) = (Arc::clone(ctl), Arc::clone(wal), Arc::clone(metrics));
         client.post_admin(Box::new(move |gate| {
             let res = (move || {
                 let m = gate?;
@@ -598,10 +607,14 @@ fn pull_once<'t, 's>(
                 }
                 m.resync(Some(snap), std::iter::empty()).map_err(|e| e.to_string())?;
                 let full = m.checkpoint_full();
-                lock(&wal).write_snapshot(&full).map_err(|e| e.to_string())
+                lock(&wal).write_snapshot(&full).map_err(|e| e.to_string())?;
+                Ok(evolution(m))
             })();
             Box::new(move |_durable| {
-                let _ = btx.send(res);
+                if let Ok(totals) = &res {
+                    metrics.set_evolution(totals.0, totals.1, totals.2);
+                }
+                let _ = btx.send(res.map(drop));
             })
         }));
     }
@@ -643,20 +656,26 @@ fn pull_once<'t, 's>(
         let n_records = records.len() as u64;
         let (dtx, drx) = mpsc::channel::<Result<bool, String>>();
         {
-            let ctl = Arc::clone(ctl);
+            let (ctl, metrics) = (Arc::clone(ctl), Arc::clone(metrics));
             client.post_admin(Box::new(move |gate| {
                 let res = (move || {
                     let m = gate?;
                     if ctl.halted() {
-                        return Ok(false); // promoted: never acked
+                        return Ok(None); // promoted: never acked
                     }
                     for record in records {
                         m.replay_record(record).map_err(|e| e.to_string())?;
                     }
-                    Ok(true)
+                    Ok(Some(evolution(m)))
                 })();
                 Box::new(move |durable: bool| {
-                    let _ = dtx.send(res.map(|applied| applied && durable));
+                    // Stored here, on the worker, before the ack: a
+                    // shipped `redefine` shows in this replica's `stats`
+                    // by the time the primary answers it.
+                    if let (Ok(Some(totals)), true) = (&res, durable) {
+                        metrics.set_evolution(totals.0, totals.1, totals.2);
+                    }
+                    let _ = dtx.send(res.map(|applied| applied.is_some() && durable));
                 })
             }));
         }
@@ -666,9 +685,7 @@ fn pull_once<'t, 's>(
                 send_ack(&mut stream, horizon)?;
                 ctl.horizon.store(horizon, Ordering::SeqCst);
                 ctl.applied.fetch_add(n_records, Ordering::SeqCst);
-                if let Some(m) = metrics {
-                    m.repl_applied_records.fetch_add(n_records, Ordering::Relaxed);
-                }
+                metrics.repl_applied_records.fetch_add(n_records, Ordering::Relaxed);
             }
             Ok(false) if ctl.halted() => return Ok(()),
             Ok(false) => return Err("batch not durable on the replica".to_owned()),

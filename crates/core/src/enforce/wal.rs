@@ -1701,16 +1701,6 @@ impl Wal {
         self.synced
     }
 
-    /// Whether to `fsync` after every group commit (default: off —
-    /// flushed-to-OS durability; turn on to survive power loss at the
-    /// cost of one `fdatasync` per block). Compatibility spelling of
-    /// [`Wal::with_fsync`]: `true` is [`FsyncPolicy::Always`], `false`
-    /// is [`FsyncPolicy::Off`].
-    #[must_use]
-    pub fn with_sync(self, sync: bool) -> Wal {
-        self.with_fsync(if sync { FsyncPolicy::Always } else { FsyncPolicy::Off })
-    }
-
     /// Set the [`FsyncPolicy`] (default [`FsyncPolicy::Off`]).
     #[must_use]
     pub fn with_fsync(mut self, policy: FsyncPolicy) -> Wal {

@@ -478,9 +478,9 @@ pub fn cmd_serve(schema_src: &str, tx_src: &str, flags: &Flags) -> Result<String
     // Durable mode: open the log for the pipelined committer and stand
     // up the background snapshotter; establish the base checkpoint if
     // the directory has none (first run, or a crash killed the base
-    // job). The server routes admission through the two-stage pipeline
-    // (`serve_pipelined`): the worker stages records, the committer
-    // appends, fsyncs per `--fsync`, and releases the acks.
+    // job). Handing the log to the server picks the committer release
+    // step: the worker stages records, the committer appends, fsyncs
+    // per `--fsync`, and releases the acks.
     let wal = match durable {
         Some(dir) => {
             let mut w = Wal::open(dir).map_err(|e| format!("{dir}: {e}"))?;
@@ -558,6 +558,7 @@ pub fn cmd_serve(schema_src: &str, tx_src: &str, flags: &Flags) -> Result<String
         auth,
         io_threads,
         durability: DurabilityPolicy { retries: retries as u32, backoff },
+        health: health.clone(),
         wal: wal.clone(),
         metrics: Some(metrics.clone()),
         repl: repl.clone(),
@@ -567,7 +568,7 @@ pub fn cmd_serve(schema_src: &str, tx_src: &str, flags: &Flags) -> Result<String
     let maintenance_wal = wal.clone();
     let maintenance_health = health.clone();
     let snapshotter_slot = &mut snapshotter;
-    let stats = net::serve_guarded(listener, &mut monitor, &ts, &config, &health, move |m| {
+    let stats = net::serve(listener, &mut monitor, &ts, &config, move |m| {
         let (Some(wal), Some(snapshotter)) = (&maintenance_wal, snapshotter_slot.as_mut()) else {
             return;
         };

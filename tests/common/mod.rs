@@ -3,6 +3,8 @@
 //! multi-component schemas, random regular inventories over their role
 //! alphabets, and random ground SL transactions over a small key pool
 //! (collisions intended). Deterministic via the caller's seeded rng.
+//! Also [`Reap`], the process guard of the suites that spawn
+//! `migctl serve`.
 #![allow(dead_code)]
 
 use migratory::automata::Regex;
@@ -182,5 +184,16 @@ pub fn random_multi_transaction(
         Transaction::sl("other", &[], vec![update])
     } else {
         random_transaction(rng, schema, edges)
+    }
+}
+
+/// Kills a spawned server when dropped, so a failing assertion never
+/// leaks a process.
+pub struct Reap(pub std::process::Child);
+
+impl Drop for Reap {
+    fn drop(&mut self) {
+        let _ = self.0.kill();
+        let _ = self.0.wait();
     }
 }

@@ -1,6 +1,7 @@
 //! The fault matrix: every injectable I/O site × {transient, persistent},
 //! exercised under pipelined load through the real admission path
-//! (`enforce::ingress::serve_guarded` with a real on-disk [`Wal`]).
+//! (`enforce::ingress::run` with a real on-disk [`Wal`], released in
+//! place behind a synchronous sink and through the committer thread).
 //!
 //! The invariants this file locks down:
 //!
@@ -19,7 +20,7 @@
 
 use migratory::core::enforce::{
     ingress, CheckpointData, DurabilityPolicy, EnforceError, FaultKind, FaultSite, FsyncPolicy,
-    Health, IngressConfig, IoFaults, ShardedMonitor, Snapshotter, Wal,
+    Health, IngressConfig, IoFaults, ServeOptions, ShardedMonitor, Snapshotter, Wal,
 };
 use migratory::core::{Inventory, PatternKind, RoleAlphabet};
 use migratory::lang::{parse_transactions, Assignment};
@@ -92,7 +93,7 @@ fn run_case(dir: &std::path::Path, site: FaultSite, from_nth: u64, kind: FaultKi
     let mut monitor = ShardedMonitor::new(&schema, &alphabet, &inv, PatternKind::All, SHARDS);
 
     let faults = IoFaults::new().fail(site, from_nth, kind);
-    let wal = Wal::open(dir).unwrap().with_sync(true).with_faults(faults.clone());
+    let wal = Wal::open(dir).unwrap().with_fsync(FsyncPolicy::Always).with_faults(faults.clone());
     let wal = Arc::new(Mutex::new(wal));
     monitor = monitor.with_sink(wal.clone());
     let health = Arc::new(Health::new());
@@ -110,12 +111,16 @@ fn run_case(dir: &std::path::Path, site: FaultSite, from_nth: u64, kind: FaultKi
     let maintenance_wal = wal.clone();
     let maintenance_health = health.clone();
     let snapshotter_slot = &mut snapshotter;
-    let ((acked, refused, degraded), stats) = ingress::serve_guarded(
+    let opts = ServeOptions {
+        config,
+        durability: policy,
+        health: Some(&health),
+        maintenance_every: 2,
+        ..ServeOptions::default()
+    };
+    let ((acked, refused, degraded), stats) = ingress::run(
         &mut monitor,
-        &config,
-        &policy,
-        &health,
-        2,
+        &opts,
         move |m| {
             let delta = m.checkpoint_delta();
             let touched = delta.oids();

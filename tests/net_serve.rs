@@ -10,6 +10,8 @@
 //! * the worked session in `docs/PROTOCOL.md` is executed verbatim —
 //!   the protocol document cannot drift from the server.
 
+mod common;
+
 use migratory::core::enforce::net::{self, ServerConfig};
 use migratory::core::enforce::{ResiduePolicy, ShardedMonitor, Wal};
 use migratory::core::{Inventory, PatternKind, RoleAlphabet};
@@ -784,6 +786,141 @@ fn redefine_under_live_traffic_survives_kill_and_recover() {
         expected_redefined_state(&pre_refs, &post_refs),
         "stage 2: the full acked history around the redefinition is byte-identical"
     );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+// ---------------------------------------------------------------------
+// One metrics registry; bounded violation replies
+// ---------------------------------------------------------------------
+
+/// Sum a histogram's `_count` series over every `shard` label of a
+/// `stats prom` payload.
+fn prom_count(prom: &str, name: &str) -> u64 {
+    let series = format!("{name}_count");
+    prom.lines()
+        .filter(|l| l.split(['{', ' ']).next() == Some(series.as_str()))
+        .map(|l| l.rsplit(' ').next().unwrap().parse::<u64>().unwrap())
+        .sum()
+}
+
+/// A volatile server (no WAL, no caller-supplied metrics) still has a
+/// registry, and its admission loop stamps the per-block histograms:
+/// after traffic, `stats prom` reports non-zero block-size and
+/// queue-depth counts.
+#[test]
+fn volatile_server_stamps_admission_histograms() {
+    use std::io::Read;
+    let s = multi_schema();
+    let a = RoleAlphabet::new(&s, 0).unwrap();
+    let inv = Inventory::parse_init(&s, &a, "∅* [R0]* ∅*").unwrap();
+    let ts = multi_transactions(&s);
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    // Assertions run after the join: a failure never leaves the server
+    // parked.
+    let (prom, stats_line) = std::thread::scope(|scope| {
+        let server = scope.spawn(|| {
+            let mut m = ShardedMonitor::new(&s, &a, &inv, PatternKind::All, 3);
+            net::serve(listener, &mut m, &ts, &ServerConfig::default(), |_| {}).unwrap()
+        });
+        let mut c = Client::connect(addr);
+        for i in 0..24 {
+            assert_eq!(c.ask(&format!("invoke Mk{}(v{i})", i % 3)), "ok");
+        }
+        c.send("stats prom");
+        let mut r = BufReader::new(c.writer.try_clone().unwrap());
+        let mut header = String::new();
+        r.read_line(&mut header).unwrap();
+        let len: usize =
+            header.trim().strip_prefix("ok prom ").and_then(|n| n.parse().ok()).unwrap_or(0);
+        let mut payload = vec![0u8; len];
+        r.read_exact(&mut payload).unwrap();
+        let mut c = Client::connect(addr);
+        let stats_line = c.ask("stats");
+        assert_eq!(c.ask("shutdown"), "ok draining");
+        server.join().unwrap();
+        (String::from_utf8(payload).unwrap(), stats_line)
+    });
+    assert!(prom_count(&prom, "migratory_block_size") > 0, "block sizes stamped: {prom}");
+    assert!(prom_count(&prom, "migratory_queue_depth") > 0, "queue depths stamped: {prom}");
+    assert!(prom_count(&prom, "migratory_commit_latency_us") > 0, "releases stamped: {prom}");
+    assert!(prom.contains("migratory_epoch 0"), "the gauges live in the same registry: {prom}");
+    assert!(stats_line.contains("admitted=24 "), "{stats_line}");
+    assert!(stats_line.contains("epoch=0 redefines=0 quarantined=0"), "{stats_line}");
+}
+
+/// A violation whose pattern renders past the 64 KiB reply cap used to
+/// panic the event thread in the binary frame encoder and hang every
+/// later client. Now both dialects carry the same diagnostic, elided in
+/// the middle behind an explicit letter count, with the `[epoch E]`
+/// suffix intact — and the server keeps answering.
+#[test]
+fn oversized_violation_diagnostic_is_elided_in_both_dialects() {
+    use migratory::core::enforce::net::{frame, MAX_LINE};
+    use migratory::model::Value;
+    const HISTORY: usize = 8000;
+    let dir = std::env::temp_dir().join(format!("migratory-long-diag-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let (child, addr) = spawn_serve(&dir, &[]);
+    let server = common::Reap(child);
+    let timeout = Some(std::time::Duration::from_secs(30));
+
+    // One component, every application a step: each creation appends a
+    // [PERSON] letter to `p`'s pattern — ~9 bytes a letter, past 64 KiB.
+    let mut c = Client::connect(&*addr);
+    c.writer.set_read_timeout(timeout).unwrap();
+    let mut burst = String::from("invoke Mk(p)\n");
+    for i in 0..HISTORY {
+        burst.push_str(&format!("invoke Mk(k{i})\n"));
+    }
+    let mut writer = c.writer.try_clone().unwrap();
+    let feeder = std::thread::spawn(move || writer.write_all(burst.as_bytes()).unwrap());
+    for _ in 0..=HISTORY {
+        assert_eq!(c.recv(), "ok");
+    }
+    feeder.join().unwrap();
+    // PERSON-only from here on: `p` survives, its specialization violates.
+    assert_eq!(c.ask(&format!("redefine quarantine {UNI_NEXT_INV}")), "ok epoch=1 residue=0");
+
+    let text = c.ask("invoke St(p)");
+    let diag = text
+        .strip_prefix("violation ")
+        .unwrap_or_else(|| panic!("a violation: {}", text.chars().take(200).collect::<String>()))
+        .to_owned();
+    assert!(text.len() < MAX_LINE as usize, "the text reply line fits the cap: {}", text.len());
+    assert!(diag.starts_with("object o1 would follow the pattern [PERSON] [PERSON] "), "head kept");
+    assert!(diag.contains(" letters elided … "), "the elision is explicit");
+    assert!(
+        diag.ends_with("[PERSON] [STUDENT] ∉ 𝔏 (offending role set [STUDENT]) [epoch 1]"),
+        "tail, offending letter and epoch kept: {}",
+        diag.chars().skip(diag.chars().count().saturating_sub(200)).collect::<String>()
+    );
+    let kept = diag.matches("[PERSON]").count();
+    let elided: usize = diag
+        .split("… ")
+        .nth(1)
+        .and_then(|rest| rest.split(' ').next())
+        .and_then(|n| n.parse().ok())
+        .expect("the marker states the elided letter count");
+    assert_eq!(kept + elided, HISTORY + 1, "every [PERSON] letter is kept or counted");
+
+    let conn = TcpStream::connect(&*addr).unwrap();
+    conn.set_read_timeout(timeout).unwrap();
+    let mut out = Vec::new();
+    frame::encode_invoke_frame(&mut out, "St", &[Value::str("p")]);
+    (&conn).write_all(&out).unwrap();
+    let (kind, payload) = frame::read_frame(&mut BufReader::new(&conn)).expect("a reply frame");
+    assert_eq!(kind, frame::REP_VIOLATION);
+    assert_eq!(String::from_utf8(payload).unwrap(), diag, "both dialects agree");
+
+    // The server survived both replies.
+    assert_eq!(c.ask("ping"), "ok pong");
+    let stats = c.ask("stats");
+    assert!(stats.contains(&format!("admitted={} rejected=2", HISTORY + 1)), "{stats}");
+    assert_eq!(c.ask("shutdown"), "ok draining");
+    let mut server = server;
+    assert!(server.0.wait().expect("server drains").success());
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -28,7 +28,7 @@ use migratory::core::enforce::repl::{acceptor, puller, HELLO, PREAMBLE};
 use migratory::core::enforce::wal::{decode_records, decode_stream};
 use migratory::core::enforce::{
     ingress, AckPolicy, AdmissionMetrics, CheckpointData, DurabilityPolicy, Health, IngressConfig,
-    ReplicaCtl, Replicator, ResiduePolicy, ShardedMonitor, ShipFault, Wal,
+    ReplicaCtl, Replicator, ResiduePolicy, ServeOptions, ShardedMonitor, ShipFault, Wal,
 };
 use migratory::core::{Inventory, PatternKind, RoleAlphabet};
 use migratory::lang::{parse_transactions, Assignment, Transaction};
@@ -115,7 +115,15 @@ fn replica_byte_identity_round(seed: u64) {
                 |_| {},
                 |client| {
                     std::thread::scope(|ps| {
-                        ps.spawn(|| puller(&repl_addr, &ctl, &wal_r, client, None));
+                        ps.spawn(|| {
+                            puller(
+                                &repl_addr,
+                                &ctl,
+                                &wal_r,
+                                client,
+                                &Arc::new(AdmissionMetrics::new(1)),
+                            )
+                        });
                         wait_for(60, "the primary's stop signal", || ctl.stopped());
                     });
                 },
@@ -134,15 +142,17 @@ fn replica_byte_identity_round(seed: u64) {
         }
         let health = Health::new();
         let ckpt_wal = &wal_p;
-        ingress::serve_pipelined_repl(
+        let opts = ServeOptions {
+            config: IngressConfig { queue_capacity: 64, max_block: 8 },
+            health: Some(&health),
+            wal: Some(wal_p.clone()),
+            repl: Some(repl.clone()),
+            maintenance_every: 4,
+            ..ServeOptions::default()
+        };
+        ingress::run(
             &mut pm,
-            &IngressConfig { queue_capacity: 64, max_block: 8 },
-            &DurabilityPolicy::default(),
-            &health,
-            wal_p.clone(),
-            None,
-            Some(repl.clone()),
-            4,
+            &opts,
             move |m| {
                 let delta = m.checkpoint_delta();
                 let job =
@@ -425,6 +435,59 @@ fn spawn_repl_serve(
     (child, addr, repl_addr)
 }
 
+/// A replica's evolution gauges follow the shipped stream, not just
+/// `promote`: under `ack-on-replica-1` the primary's `ok` to a
+/// `redefine` means the replica folded (and stored) it, so the
+/// replica's `stats` shows the new epoch while it is still following.
+#[test]
+fn replica_stats_track_shipped_epoch_before_promote() {
+    let dir = temp_dir("replica-epoch");
+    let wal_p = dir.join("wal-p");
+    let wal_r = dir.join("wal-r");
+    let (primary, p_addr, p_repl) = spawn_repl_serve(
+        &dir,
+        &[
+            "--durable",
+            wal_p.to_str().unwrap(),
+            "--repl-addr",
+            "127.0.0.1:0",
+            "--ack",
+            "replica-1",
+            "--ack-timeout-ms",
+            "20000",
+        ],
+    );
+    let mut primary = common::Reap(primary);
+    let (replica, r_addr, _) =
+        spawn_repl_serve(&dir, &["--durable", wal_r.to_str().unwrap(), "--replica-of", &p_repl]);
+    let mut replica = common::Reap(replica);
+
+    let mut c = Client::connect(&p_addr);
+    let deadline = Instant::now() + Duration::from_secs(20);
+    while !c.ask("stats").contains("replicas=1") {
+        assert!(Instant::now() < deadline, "replica never attached");
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    for i in 0..4 {
+        assert_eq!(c.ask(&format!("invoke Mk(k{i})")), "ok");
+    }
+    assert_eq!(c.ask("invoke St(k0)"), "ok");
+    assert_eq!(c.ask("redefine quarantine ∅* [PERSON]* ∅*"), "ok epoch=1 residue=1");
+
+    let mut r = Client::connect(&r_addr);
+    let stats = r.ask("stats");
+    assert!(stats.contains("repl=replica "), "still following: {stats}");
+    assert!(
+        stats.contains("epoch=1 redefines=1 quarantined=1"),
+        "the replica's stats show the shipped epoch before promote: {stats}"
+    );
+    assert_eq!(r.ask("shutdown"), "ok draining");
+    assert!(replica.0.wait().expect("replica drains").success());
+    assert_eq!(c.ask("shutdown"), "ok draining");
+    assert!(primary.0.wait().expect("primary drains").success());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// The full failover story through the real binary and both wire
 /// dialects: pipelined text + binary traffic with a mid-stream
 /// `redefine` lands on the primary under `ack-on-replica-1`; the
@@ -678,7 +741,15 @@ fn fault_row(tag: &str, policy: AckPolicy, faults: &[ShipFault]) -> FaultRow {
                 |_| {},
                 |client| {
                     std::thread::scope(|ps| {
-                        ps.spawn(|| puller(&repl_addr, &ctl, &wal_r, client, None));
+                        ps.spawn(|| {
+                            puller(
+                                &repl_addr,
+                                &ctl,
+                                &wal_r,
+                                client,
+                                &Arc::new(AdmissionMetrics::new(1)),
+                            )
+                        });
                         wait_for(60, "the primary's stop signal", || ctl.stopped());
                     });
                 },
@@ -687,15 +758,16 @@ fn fault_row(tag: &str, policy: AckPolicy, faults: &[ShipFault]) -> FaultRow {
 
         let mut pm = ShardedMonitor::new(&schema, &alphabet, &inv, PatternKind::All, 1);
         let health = Health::new();
-        ingress::serve_pipelined_repl(
+        let opts = ServeOptions {
+            config: IngressConfig { queue_capacity: 64, max_block: 8 },
+            health: Some(&health),
+            wal: Some(wal_p.clone()),
+            repl: Some(repl.clone()),
+            ..ServeOptions::default()
+        };
+        ingress::run(
             &mut pm,
-            &IngressConfig { queue_capacity: 64, max_block: 8 },
-            &DurabilityPolicy::default(),
-            &health,
-            wal_p.clone(),
-            None,
-            Some(repl.clone()),
-            0,
+            &opts,
             |_| {},
             |client| {
                 std::thread::scope(|ps| {
