@@ -1,28 +1,28 @@
 //! Shared state machinery of the delta/cohort admission engines.
 //!
 //! A [`DeltaState`] tracks one *partition* of the object population —
-//! the whole database for the single [`Monitor`](super::Monitor), one
-//! shard of it for the [`ShardedMonitor`](super::ShardedMonitor). It
-//! owns the run-length-encoded per-object records and the cohort table
-//! (objects grouped by indistinguishable (DFA state, role symbol)
-//! pairs), **and its own letter clock**: `steps` counts the letters
-//! this partition has read, and the never-created class's DFA walk
-//! (`pre_state`, `pre_exempt`) advances in the same shard-local time.
+//! one shard of a [`ShardedMonitor`](super::ShardedMonitor), the whole
+//! database when the monitor has a single shard. It owns the
+//! run-length-encoded per-object records and the cohort table (objects
+//! grouped by indistinguishable (DFA state, role symbol) pairs), **and
+//! its own letter clock**: `steps` counts the letters this partition
+//! has read, and the never-created class's DFA walk (`pre_state`,
+//! `pre_exempt`) advances in the same shard-local time.
 //! Every step index stored in a record — creation steps, RLE segment
 //! starts — is a position on the owning partition's clock, so disjoint
 //! partitions share *no* mutable state at all (Lemma 3.5: objects
 //! evolve independently; under a component alphabet, objects of
-//! different components never read each other's letters). The single
-//! [`Monitor`](super::Monitor) is the one-partition case, where the
-//! shard-local clock *is* the paper's global step counter.
+//! different components never read each other's letters). A one-shard
+//! monitor is the one-partition case, where the shard-local clock *is*
+//! the paper's global step counter.
 //!
 //! Admission runs through one staged, read-only pass
 //! ([`DeltaState::stage_batch`]) and one write-back
 //! ([`DeltaState::commit_batch`]): `k` letters are validated against
 //! **one** cohort sweep, advancing each untouched cohort `k` DFA steps
 //! in a single pass and replaying touched objects' interleaved
-//! touch/untouched chains individually. The single-step engines are the
-//! `k = 1` case of the same code path.
+//! touch/untouched chains individually. Single-application admission
+//! is the `k = 1` case of the same code path.
 //!
 //! Batch validation leans on the inventory being prefix-closed
 //! (Definition 3.3): in any DFA of a prefix-closed language every
@@ -39,8 +39,10 @@
 //! next capture carries the full record table.
 //!
 //! [`diagnose_step`] reproduces the reference engine's whole-database,
-//! ascending-oid rejection scan over any record iterator, so single and
-//! sharded monitors report byte-identical [`Violation`]s.
+//! ascending-oid rejection scan over any record iterator, so every shard
+//! reports the [`Violation`] a
+//! [`ReferenceMonitor`](super::ReferenceMonitor) fed its sub-run would,
+//! byte for byte.
 
 use super::Violation;
 use crate::alphabet::RoleAlphabet;
@@ -994,8 +996,9 @@ pub(crate) fn never_created_walk(
 }
 
 /// Group a block's tracked change-set entries by object, each with its
-/// 1-based effective step — the [`DeltaState::stage_batch`] input
-/// (unrouted; the sharded monitor partitions per shard itself).
+/// 1-based effective step — the [`DeltaState::stage_batch`] input for a
+/// single partition (the sharded monitor partitions per shard itself).
+#[cfg(test)]
 pub(crate) fn touched_map<'d>(
     deltas: &[&'d Delta],
 ) -> BTreeMap<Oid, Vec<(usize, &'d ObjectDelta)>> {

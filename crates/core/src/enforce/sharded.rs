@@ -28,13 +28,16 @@
 //! component, whose objects all read every letter). A shard's run is
 //! therefore the subsequence of effective deltas routed to it, in
 //! shard-local time, and each shard is observationally identical to a
-//! single [`Monitor`](super::Monitor) fed exactly that subsequence —
-//! same accept/reject decisions, byte-identical
+//! [`ReferenceMonitor`](super::ReferenceMonitor) fed exactly that
+//! subsequence — same accept/reject decisions, byte-identical
 //! [`Violation`]s, same recorded patterns (the randomized
-//! per-component-oracle suite in `tests/delta_monitor.rs` checks
-//! this). Disjoint components stage, commit, checkpoint and recover
-//! fully independently; there is no global step counter left to
-//! contend on, only a derived [`ShardedMonitor::clocks`] view.
+//! per-shard-oracle suites in `tests/delta_monitor.rs` check this).
+//! Disjoint components stage, commit, checkpoint and recover fully
+//! independently; there is no global step counter left to contend on,
+//! only a derived [`ShardedMonitor::clocks`] view. With one shard the
+//! monitor is the single-partition engine, whose clock is the paper's
+//! global step counter; only such a monitor can be statically certified
+//! ([`ShardedMonitor::certify`]).
 //!
 //! Admission stages every participating shard *read-only* —
 //! concurrently on [`std::thread::scope`] threads when the host has
@@ -60,9 +63,12 @@ use super::delta::{
 use super::wal::{self, BlockRef, CheckpointDelta, ShardLetters, Snapshot, WalError, WalRecord};
 use super::{EnforceError, RedefineOutcome, ResiduePolicy, SharedSink, StepPolicy, Violation};
 use crate::alphabet::RoleAlphabet;
+use crate::error::CoreError;
 use crate::inventory::Inventory;
 use crate::pattern::{MigrationPattern, PatternKind};
-use migratory_lang::{Assignment, Delta, LangError, ObjectDelta, Transaction};
+use migratory_lang::{
+    apply_transaction, Assignment, Delta, LangError, ObjectDelta, Transaction, TransactionSchema,
+};
 use migratory_model::{Instance, Oid, Schema};
 use std::collections::BTreeMap;
 
@@ -108,10 +114,11 @@ pub struct ShardStats {
 /// sharded across independent object partitions — each on its own
 /// letter clock — and a batch API.
 ///
-/// Each shard is observationally identical to a single
-/// [`Monitor`](super::Monitor) fed the subsequence of effective
-/// applications routed to it (same accept/reject decisions,
+/// Each shard is observationally identical to a
+/// [`ReferenceMonitor`](super::ReferenceMonitor) fed the subsequence of
+/// effective applications routed to it (same accept/reject decisions,
 /// byte-identical [`Violation`]s, same patterns in shard-local time).
+/// `shards = 1` is the single-partition monitor.
 ///
 /// ```
 /// use migratory_core::enforce::ShardedMonitor;
@@ -169,6 +176,12 @@ pub struct ShardedMonitor<'a> {
     /// processor — the batch amortization still applies, the thread
     /// hand-off cost does not).
     parallel: bool,
+    /// Statically certified ([`ShardedMonitor::certify`]): admission
+    /// skips every runtime check. Only a one-shard monitor certifies.
+    certified: bool,
+    /// Shard 0's clock when certification succeeded — the horizon at
+    /// which pattern tracking froze.
+    certified_at: Option<usize>,
 }
 
 impl<'a> ShardedMonitor<'a> {
@@ -212,6 +225,8 @@ impl<'a> ShardedMonitor<'a> {
             sink: None,
             parallel: n > 1
                 && std::thread::available_parallelism().map_or(1, std::num::NonZero::get) > 1,
+            certified: false,
+            certified_at: None,
         }
     }
 
@@ -308,13 +323,70 @@ impl<'a> ShardedMonitor<'a> {
     }
 
     /// The recorded pattern of an object (present once it has occurred
-    /// in the database), reconstructed from its shard's run-length
-    /// encoding through that shard's **own** clock.
+    /// in the database; absent when tracking never saw it, e.g. objects
+    /// created after certification), reconstructed from its shard's
+    /// run-length encoding through that shard's **own** clock. After a
+    /// mid-run [`ShardedMonitor::certify`] patterns are frozen at the
+    /// certification point.
     #[must_use]
     pub fn pattern_of(&self, o: Oid) -> Option<MigrationPattern> {
         self.shards.iter().find_map(|s| {
-            s.records.get(&o).map(|r| r.pattern_through(self.alphabet.empty_symbol(), s.steps))
+            // Records stop advancing once certified: clamp the
+            // reconstruction horizon so certified steps do not
+            // fabricate repeat letters.
+            let horizon = self.certified_at.unwrap_or(s.steps);
+            s.records.get(&o).map(|r| r.pattern_through(self.alphabet.empty_symbol(), horizon))
         })
+    }
+
+    /// Whether the monitor runs in the certified fast path.
+    #[must_use]
+    pub fn is_certified(&self) -> bool {
+        self.certified
+    }
+
+    /// Statically certify an SL transaction schema against the inventory
+    /// (Corollary 3.3). On success the monitor skips all per-object
+    /// runtime checks: no application of certified transactions can ever
+    /// produce a pattern outside 𝔏. Returns whether `ts` certifies; errs
+    /// on non-SL schemas, where the problem is undecidable (Corollary
+    /// 4.7).
+    ///
+    /// Only a one-shard monitor certifies: the write-ahead
+    /// [`WalRecord::Certified`] marker carries a single letter clock, so
+    /// a monitor with more shards is refused with
+    /// [`CoreError::CertifyShards`] before anything is decided or
+    /// logged.
+    ///
+    /// Certification is **one-way**: once a monitor is certified, pattern
+    /// tracking stops and later `certify` calls only report the new
+    /// schema's verdict without re-enabling checks (the tracking state
+    /// would be stale). Enforce a different, non-certifying schema with a
+    /// fresh monitor.
+    pub fn certify(&mut self, ts: &TransactionSchema) -> Result<bool, CoreError> {
+        if self.shards.len() != 1 {
+            return Err(CoreError::CertifyShards(self.shards.len()));
+        }
+        let decision =
+            crate::decide::decide(self.schema, self.alphabet, ts, &self.inventory, self.kind)?;
+        let holds = decision.satisfies.holds();
+        if holds && !self.certified {
+            // Certification freezes tracking, so a durable monitor must
+            // record the event — recovery would otherwise replay
+            // unchecked post-certification blocks through the tracker.
+            // Write-ahead: if the marker cannot be logged, certification
+            // does not take effect.
+            let at = self.shards[0].steps;
+            if let Some(sink) = &self.sink {
+                sink.lock()
+                    .unwrap_or_else(std::sync::PoisonError::into_inner)
+                    .certified(at)
+                    .map_err(|e| CoreError::Durability(e.to_string()))?;
+            }
+            self.certified = true;
+            self.certified_at = Some(at);
+        }
+        Ok(holds)
     }
 
     /// The shard an object is routed to. Stable across the object's
@@ -352,6 +424,9 @@ impl<'a> ShardedMonitor<'a> {
     /// first offending object (in the shard-reference ascending-oid
     /// order) is reported.
     pub fn try_apply(&mut self, t: &Transaction, args: &Assignment) -> Result<(), EnforceError> {
+        if self.certified {
+            return self.apply_certified(&[(t, args)]).1.map_or(Ok(()), Err);
+        }
         let delta = self.apply_delta(t, args)?;
         if self.policy == StepPolicy::OnlyChanging && delta.is_identity() {
             // Null application (Definition 4.6): no letter, nothing to
@@ -414,6 +489,9 @@ impl<'a> ShardedMonitor<'a> {
         batch: impl IntoIterator<Item = (&'t Transaction, &'t Assignment)>,
     ) -> (usize, Option<EnforceError>) {
         let items: Vec<(&Transaction, &Assignment)> = batch.into_iter().collect();
+        if self.certified {
+            return self.apply_certified(&items);
+        }
         // Optimistic in-place application; a failing transaction leaves
         // the database untouched, so the applied prefix stays validatable.
         let mut deltas: Vec<Delta> = Vec::with_capacity(items.len());
@@ -461,22 +539,104 @@ impl<'a> ShardedMonitor<'a> {
         }
     }
 
+    /// The certified fast path (Corollary 3.3) behind
+    /// [`Self::try_apply`] and [`Self::try_apply_batch`]: no checks run
+    /// and tracking stays frozen; the clock still counts every
+    /// application. Without a sink the applications skip change capture
+    /// entirely — the raw interpreter cost is all that remains. A durable
+    /// monitor still captures the deltas and logs them as one block
+    /// (rolled back whole if the sink refuses it), and marks the touched
+    /// objects dirty for the next incremental checkpoint. Semantics as
+    /// the checked batch: the longest prefix before a failing
+    /// transaction commits. Certification implies one shard.
+    fn apply_certified(
+        &mut self,
+        items: &[(&Transaction, &Assignment)],
+    ) -> (usize, Option<EnforceError>) {
+        let Some(sink) = self.sink.clone() else {
+            let mut done = 0;
+            let mut err = None;
+            for (t, args) in items {
+                if let Err(e) = apply_transaction(self.schema, &mut self.db, t, args) {
+                    err = Some(e.into());
+                    break;
+                }
+                done += 1;
+            }
+            self.shards[0].steps += done;
+            return (done, err);
+        };
+        let mut deltas: Vec<Delta> = Vec::with_capacity(items.len());
+        let mut lang_err: Option<EnforceError> = None;
+        for (t, args) in items {
+            match self.apply_delta(t, args) {
+                Ok(d) => deltas.push(d),
+                Err(e) => {
+                    lang_err = Some(e.into());
+                    break;
+                }
+            }
+        }
+        if deltas.is_empty() {
+            return (0, lang_err);
+        }
+        let state = &mut self.shards[0];
+        let shards = [ShardLetters {
+            shard: 0,
+            steps0: state.steps,
+            letters: (0..deltas.len() as u32).collect(),
+        }];
+        let refs: Vec<&Delta> = deltas.iter().collect();
+        let logged = sink
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+            .committed(&BlockRef { deltas: &refs, shards: &shards });
+        if let Err(e) = logged {
+            for d in deltas.iter().rev() {
+                d.undo(&mut self.db);
+            }
+            return (0, Some(EnforceError::Durability(e)));
+        }
+        state.steps += deltas.len();
+        for d in &deltas {
+            state.dirty.extend(d.objects().iter().map(|od| od.oid));
+        }
+        (deltas.len(), lang_err)
+    }
+
     /// Redefine the inventory online: swap in `new_inventory`
     /// atomically across **every** shard (the automaton is global —
     /// each partition's cohorts are re-keyed under the new DFA), at
-    /// whatever point each shard's own letter clock has reached. The
-    /// viability split is the same product construction as
-    /// [`Monitor::redefine`](super::Monitor::redefine), computed once
-    /// and applied per shard in O(|cohorts|) — never O(|db|). Every
-    /// shard's never-created walk is checked *before* any shard
+    /// whatever point each shard's own letter clock has reached.
+    ///
+    /// The viability of consumed history is decided per *cohort*, never
+    /// per object: a product construction walks the old DFA × new DFA
+    /// over every path the old DFA certifies
+    /// (`delta::viability_map`, computed once); a cohort is viable iff
+    /// all enforced histories ending in its old state land in exactly
+    /// one accepting new state. Viable cohorts remap wholesale; the
+    /// residue is quarantined or reset per `policy`. Total cost
+    /// O(|Q_old| × |Q_new| × |Σ| + |cohorts|) — independent of the
+    /// database size.
+    ///
+    /// Every shard's never-created walk is checked *before* any shard
     /// mutates, and the [`WalRecord::Redefined`] record (carrying every
     /// shard's clock) is written **ahead** of the swap; a refusal or
     /// sink failure leaves the old inventory in force on all shards.
+    /// Refused (with [`EnforceError::Redefine`]) on a certified monitor
+    /// (tracking is frozen), on an alphabet mismatch, and when some
+    /// shard's never-created ∅-walk leaves the new language while still
+    /// enforced.
     pub fn redefine(
         &mut self,
         new_inventory: &Inventory,
         policy: ResiduePolicy,
     ) -> Result<RedefineOutcome, EnforceError> {
+        if self.certified {
+            return Err(EnforceError::Redefine(
+                "monitor is certified: tracking is frozen, redefine needs a fresh monitor".into(),
+            ));
+        }
         let new_dfa = new_inventory.dfa();
         if new_dfa.num_symbols() != self.alphabet.num_symbols() {
             return Err(EnforceError::Redefine(format!(
@@ -490,11 +650,12 @@ impl<'a> ShardedMonitor<'a> {
         // All-shards-or-nothing: every shard's ∅ walk must survive the
         // new automaton before any shard is touched.
         let mut pre_walks = Vec::with_capacity(self.shards.len());
+        let multi = self.shards.len() > 1;
         for (i, state) in self.shards.iter().enumerate() {
             let pre = state.redefine_pre_walk(new_dfa, empty).map_err(|steps| {
+                let at = if multi { format!("shard {i}: ") } else { String::new() };
                 EnforceError::Redefine(format!(
-                    "shard {i}: the never-created class's pattern ∅^{steps} \
-                     leaves the new inventory"
+                    "{at}the never-created class's pattern ∅^{steps} leaves the new inventory"
                 ))
             })?;
             pre_walks.push(pre);
@@ -883,8 +1044,8 @@ impl<'a> ShardedMonitor<'a> {
     pub fn snapshot(&self) -> Snapshot {
         Snapshot {
             policy: self.policy,
-            certified: false,
-            certified_at: None,
+            certified: self.certified,
+            certified_at: self.certified_at,
             evolution: self.evolution(),
             db: self.db.clone(),
             shards: self.shards.clone(),
@@ -925,7 +1086,14 @@ impl<'a> ShardedMonitor<'a> {
     /// the chain loses these changes.
     pub fn checkpoint_delta(&mut self) -> CheckpointDelta {
         let evolution = self.evolution();
-        wal::capture_delta(&self.db, &mut self.shards, self.policy, false, None, evolution)
+        wal::capture_delta(
+            &self.db,
+            &mut self.shards,
+            self.policy,
+            self.certified,
+            self.certified_at,
+            evolution,
+        )
     }
 
     /// Undo a [`ShardedMonitor::checkpoint_delta`] whose increment could
@@ -960,8 +1128,10 @@ impl<'a> ShardedMonitor<'a> {
     /// exactly the block's offset replays its letters with one cohort
     /// sweep — so the recovered tracking state is byte-identical to the
     /// uncrashed monitor's, and a crash between a checkpoint and its
-    /// log pruning can never double-apply a record. The recovered
-    /// monitor has no sink attached.
+    /// log pruning can never double-apply a record. A certified
+    /// checkpoint, or a [`WalRecord::Certified`] marker in the tail,
+    /// freezes tracking exactly where the crashed monitor froze it. The
+    /// recovered monitor has no sink attached.
     pub fn recover(
         schema: &'a Schema,
         alphabet: &'a RoleAlphabet,
@@ -973,13 +1143,7 @@ impl<'a> ShardedMonitor<'a> {
     ) -> Result<ShardedMonitor<'a>, WalError> {
         let mut m = Self::new(schema, alphabet, inventory, kind, shards);
         if let Some(snap) = snapshot {
-            let Snapshot { policy, certified, certified_at: _, evolution, db, shards: states } =
-                snap;
-            if certified {
-                return Err(WalError::Mismatch(
-                    "snapshot is certified — only the single Monitor certifies".into(),
-                ));
-            }
+            let Snapshot { policy, certified, certified_at, evolution, db, shards: states } = snap;
             if states.len() != m.shards.len() {
                 return Err(WalError::Mismatch(format!(
                     "snapshot has {} shards, this monitor partitions into {}",
@@ -990,6 +1154,8 @@ impl<'a> ShardedMonitor<'a> {
             m.db = db;
             m.shards = states;
             m.policy = policy;
+            m.certified = certified;
+            m.certified_at = certified_at;
             // Pre-v3 snapshots carry no inventory: the constructor's
             // inventory (epoch 0) stays in force.
             if let Some(bytes) = &evolution.inventory {
@@ -1026,10 +1192,33 @@ impl<'a> ShardedMonitor<'a> {
     pub fn replay_record(&mut self, record: WalRecord) -> Result<bool, WalError> {
         let block = match record {
             WalRecord::Block(b) => b,
-            WalRecord::Certified { .. } => {
-                return Err(WalError::Mismatch(
-                    "log carries a certification marker — only the single Monitor certifies".into(),
-                ))
+            WalRecord::Certified { steps } => {
+                let [state] = self.shards.as_slice() else {
+                    return Err(WalError::Mismatch(format!(
+                        "certification marker in the log of a {}-shard monitor",
+                        self.shards.len()
+                    )));
+                };
+                let at = state.steps;
+                if steps < at {
+                    return Ok(false); // the checkpoint chain carries it
+                }
+                if steps > at {
+                    return Err(WalError::Mismatch(format!(
+                        "wal gap: certification at letter {steps}, monitor is at {at}"
+                    )));
+                }
+                if self.certified {
+                    return Ok(false);
+                }
+                if let Some(sink) = &self.sink {
+                    sink.lock()
+                        .unwrap_or_else(std::sync::PoisonError::into_inner)
+                        .certified(steps)?;
+                }
+                self.certified = true;
+                self.certified_at = Some(steps);
+                return Ok(true);
             }
             WalRecord::Redefined { epoch, policy, shards, inventory } => {
                 if epoch <= self.epoch {
@@ -1152,6 +1341,8 @@ impl<'a> ShardedMonitor<'a> {
         )?;
         self.db = fresh.db;
         self.shards = fresh.shards;
+        self.certified = fresh.certified;
+        self.certified_at = fresh.certified_at;
         self.inventory = fresh.inventory;
         self.epoch = fresh.epoch;
         self.redefine_total = fresh.redefine_total;
@@ -1169,8 +1360,21 @@ impl<'a> ShardedMonitor<'a> {
     /// from the record's letter assignment, stage, and commit.
     /// Admission already proved the block admissible, so a failing
     /// stage (or a letter assignment that disagrees with routing) means
-    /// the log and snapshot do not belong together.
+    /// the log and snapshot do not belong together. A certified monitor
+    /// logged its blocks without tracking, and replay mirrors that: the
+    /// clock advances and the touched objects dirty the next incremental
+    /// checkpoint (their heap state changed).
     fn replay_block(&mut self, block: &wal::WalBlock) -> Result<(), WalError> {
+        if self.certified {
+            let state = &mut self.shards[0];
+            for sl in &block.shards {
+                state.steps += sl.letters.len();
+            }
+            for d in &block.deltas {
+                state.dirty.extend(d.objects().iter().map(|od| od.oid));
+            }
+            return Ok(());
+        }
         // (delta index → shard-local letter index) per shard.
         let mut local: Vec<BTreeMap<u32, usize>> = vec![BTreeMap::new(); self.shards.len()];
         for sl in &block.shards {
@@ -1220,11 +1424,14 @@ impl<'a> ShardedMonitor<'a> {
 
 #[cfg(test)]
 mod tests {
-    use super::super::Monitor;
+    use super::super::delta::{touched_map, EXEMPT};
+    use super::super::{MemoryWal, ReferenceMonitor, BULK_APPLY_THRESHOLD};
     use super::*;
+    use crate::explore::{explore, ExploreConfig};
     use migratory_lang::{parse_transactions, TransactionSchema};
     use migratory_model::schema::university_schema;
-    use migratory_model::{SchemaBuilder, Value};
+    use migratory_model::{RoleSet, SchemaBuilder, Value};
+    use std::sync::{Arc, Mutex};
 
     fn setup() -> (Schema, RoleAlphabet) {
         let s = university_schema();
@@ -1237,14 +1444,39 @@ mod tests {
             s,
             r#"
             transaction Mk(x) { create(PERSON, { SSN = x, Name = "n" }); }
+            transaction Nm(x, n) { modify(PERSON, { SSN = x }, { Name = n }); }
             transaction St(x) {
               specialize(PERSON, STUDENT, { SSN = x }, { Major = "CS", FirstEnroll = 1 });
+            }
+            transaction Emp(x) {
+              specialize(PERSON, EMPLOYEE, { SSN = x }, { Salary = 1, WorksIn = "D" });
             }
             transaction UnSt(x) { generalize(STUDENT, { SSN = x }); }
             transaction Rm(x) { delete(PERSON, { SSN = x }); }
         "#,
         )
         .unwrap()
+    }
+
+    /// Example 3.4's schema: characterizes Init(∅*([S]+[G]*)*∅*), so it
+    /// certifies against `∅* [STUDENT]* ∅*`.
+    fn certifiable_transactions(s: &Schema) -> TransactionSchema {
+        parse_transactions(
+            s,
+            r#"
+            transaction T1(n, sv, t, mj) {
+              create(PERSON, { SSN = sv, Name = n });
+              specialize(PERSON, STUDENT, { SSN = sv },
+                         { Major = mj, FirstEnroll = t });
+            }
+            transaction T4(sv) { delete(PERSON, { SSN = sv }); }
+        "#,
+        )
+        .unwrap()
+    }
+
+    fn t1_args(k: &str) -> Assignment {
+        Assignment::new(vec![Value::str("ann"), Value::str(k), Value::int(1990), Value::str("CS")])
     }
 
     fn arg(v: &str) -> Assignment {
@@ -1255,7 +1487,7 @@ mod tests {
     fn sharded_matches_single_engine_on_scripted_run() {
         // Single-component schema: oid striping, every stripe reads
         // every letter — the stripes advance in lockstep with the
-        // single engine's global clock.
+        // reference engine's global clock.
         let (s, a) = setup();
         let ts = uni_transactions(&s);
         let inv =
@@ -1273,7 +1505,7 @@ mod tests {
             for parallel in [false, true] {
                 let mut sharded = ShardedMonitor::new(&s, &a, &inv, PatternKind::All, shards)
                     .with_parallel_staging(parallel);
-                let mut single = Monitor::new(&s, &a, &inv, PatternKind::All);
+                let mut single = ReferenceMonitor::new(&s, &a, &inv, PatternKind::All);
                 for (name, key) in &script {
                     let t = ts.get(name).unwrap();
                     let args = arg(key);
@@ -1312,7 +1544,7 @@ mod tests {
 
         let mut sharded = ShardedMonitor::new(&s, &a, &inv, PatternKind::All, 2);
         let (done, err) = sharded.try_apply_batch(batch.clone());
-        let mut oracle = Monitor::new_reference(&s, &a, &inv, PatternKind::All);
+        let mut oracle = ReferenceMonitor::new(&s, &a, &inv, PatternKind::All);
         let (odone, oerr) = oracle.try_apply_all(batch);
         assert_eq!(done, odone);
         assert_eq!(done, 3, "the re-specialize violates; Mk(2) is never attempted");
@@ -1356,7 +1588,7 @@ mod tests {
     fn multi_component_schema_routes_by_component_with_independent_clocks() {
         // Four independent hierarchies → four shards, one per
         // component, each on its own letter clock: a shard behaves
-        // exactly like a single monitor fed only its component's
+        // exactly like a reference monitor fed only its component's
         // applications.
         let mut b = SchemaBuilder::new();
         for r in 0..4 {
@@ -1382,8 +1614,8 @@ mod tests {
         assert_eq!(m.num_shards(), 4, "capped at the component count");
         // One per-component oracle, each fed only its component's
         // applications — the sub-run a shard's clock counts.
-        let mut oracles: Vec<Monitor<'_>> =
-            (0..4).map(|_| Monitor::new_reference(&s, &a, &inv, PatternKind::All)).collect();
+        let mut oracles: Vec<ReferenceMonitor<'_>> =
+            (0..4).map(|_| ReferenceMonitor::new(&s, &a, &inv, PatternKind::All)).collect();
         for i in 0..12 {
             let c = i % 4;
             let t = ts.get(&format!("Mk{c}")).unwrap();
@@ -1411,5 +1643,693 @@ mod tests {
                 "o{o}'s shard-local pattern must match component {c}'s oracle o{local}"
             );
         }
+    }
+
+    #[test]
+    fn admits_conforming_run_and_rejects_violation() {
+        let (s, a) = setup();
+        let ts = uni_transactions(&s);
+        let inv = Inventory::parse_init(&s, &a, "∅* [PERSON]* [STUDENT]* [PERSON]* ∅*").unwrap();
+        let mut m = ShardedMonitor::new(&s, &a, &inv, PatternKind::All, 1);
+        let x = arg("1");
+        m.try_apply(ts.get("Mk").unwrap(), &x).unwrap();
+        m.try_apply(ts.get("St").unwrap(), &x).unwrap();
+        m.try_apply(ts.get("UnSt").unwrap(), &x).unwrap();
+        // Re-specializing to STUDENT breaks [P]*[S]*[P]*:
+        let err = m.try_apply(ts.get("St").unwrap(), &x).unwrap_err();
+        match err {
+            EnforceError::Violation(v) => {
+                assert_eq!(v.oid, Some(Oid(1)));
+                assert_eq!(v.pattern.len(), 4);
+                assert!(v.display(&a).contains("o1"));
+            }
+            other => panic!("unexpected {other}"),
+        }
+        // Rolled back: the object is still a plain person, 3 letters.
+        assert_eq!(m.clock(0), 3);
+        assert_eq!(m.pattern_of(Oid(1)).unwrap().len(), 3, "the rejected letter was not recorded");
+        // The run can continue down a permitted branch.
+        m.try_apply(ts.get("Rm").unwrap(), &x).unwrap();
+        assert_eq!(m.db().num_objects(), 0);
+    }
+
+    #[test]
+    fn bulk_create_staging_matches_generic_staging() {
+        // The bulk-load fast path must produce tracking state *equal* to
+        // the generic `stage_batch`/`commit_batch` path — WAL replay runs
+        // the generic path and recovery compares snapshot bytes.
+        use migratory_lang::{apply_transaction_delta, AtomicUpdate};
+        use migratory_model::{Atom, Condition};
+        let (s, a) = setup();
+        let ts = uni_transactions(&s);
+        let person = s.class_id("PERSON").unwrap();
+        let student = s.class_id("STUDENT").unwrap();
+        let ssn = s.attr_id("SSN").unwrap();
+        // Mixed classes: the bulk stage must group by role symbol and
+        // allocate cohorts in the generic first-occurrence order.
+        let mixed: Vec<AtomicUpdate> = (0..40)
+            .map(|i| AtomicUpdate::Create {
+                class: if i % 3 == 0 { student } else { person },
+                gamma: Condition::from_atoms([Atom::eq_const(ssn, format!("b{i}"))]),
+            })
+            .collect();
+        let bulk = Transaction::sl("B", &[], mixed);
+        let none = Assignment::empty();
+        for kind in
+            [PatternKind::All, PatternKind::ImmediateStart, PatternKind::Proper, PatternKind::Lazy]
+        {
+            let inv = Inventory::parse_init(&s, &a, "∅* ([PERSON] ∪ [STUDENT])* ∅*").unwrap();
+            let mut m = ShardedMonitor::new(&s, &a, &inv, kind, 1);
+            // Seed regular letters so cohorts and the ∅ walk are mid-run.
+            m.try_apply(ts.get("Mk").unwrap(), &arg("1")).unwrap();
+            m.try_apply(ts.get("St").unwrap(), &arg("1")).unwrap();
+            m.try_apply(ts.get("Mk").unwrap(), &arg("2")).unwrap();
+            let mut dbx = m.db().clone();
+            let d = apply_transaction_delta(&s, &mut dbx, &bulk, &none).unwrap();
+            let ctx = BatchCtx { schema: &s, alphabet: &a, dfa: inv.dfa(), kind };
+            let state = &m.shards[0];
+            let generic = {
+                let mut st = state.clone();
+                let touched = touched_map(&[&d]);
+                let stage = st.stage_batch(&ctx, 1, &touched).expect("conforming");
+                st.commit_batch(stage);
+                st
+            };
+            let bulked = {
+                let mut st = state.clone();
+                let stage = st.stage_bulk_creates(&ctx, d.objects().iter()).expect("conforming");
+                st.commit_bulk_creates(stage);
+                st
+            };
+            assert!(
+                generic == bulked,
+                "bulk staging diverged from the generic path under {kind:?}"
+            );
+        }
+        // Both paths agree on rejection too: [PERSON] creations against
+        // an inventory admitting only [STUDENT] letters (exemption never
+        // saves a creation under All).
+        let inv = Inventory::parse_init(&s, &a, "∅* [STUDENT]* ∅*").unwrap();
+        let m = ShardedMonitor::new(&s, &a, &inv, PatternKind::All, 1);
+        let mut dbx = m.db().clone();
+        let d = apply_transaction_delta(&s, &mut dbx, &bulk, &none).unwrap();
+        let ctx = BatchCtx { schema: &s, alphabet: &a, dfa: inv.dfa(), kind: PatternKind::All };
+        let state = &m.shards[0];
+        assert!(state.stage_batch(&ctx, 1, &touched_map(&[&d])).is_err());
+        assert!(state.stage_bulk_creates(&ctx, d.objects().iter()).is_err());
+    }
+
+    #[test]
+    fn bulk_threshold_violation_matches_reference() {
+        // Above the routing threshold the public path takes the bulk
+        // loader end to end; a violating load must report the reference
+        // engine's exact Violation and leave the database untouched.
+        use migratory_lang::AtomicUpdate;
+        use migratory_model::{Atom, Condition};
+        let (s, a) = setup();
+        let person = s.class_id("PERSON").unwrap();
+        let ssn = s.attr_id("SSN").unwrap();
+        let n = BULK_APPLY_THRESHOLD + 10;
+        let updates: Vec<AtomicUpdate> = (0..n)
+            .map(|i| AtomicUpdate::Create {
+                class: person,
+                gamma: Condition::from_atoms([Atom::eq_const(ssn, format!("v{i}"))]),
+            })
+            .collect();
+        let bulk = Transaction::sl("B", &[], updates);
+        let none = Assignment::empty();
+        // [PERSON] creations against an inventory admitting only
+        // [STUDENT] letters: every created object violates; the report
+        // must name the first in oid order, exactly as the reference
+        // engine does.
+        let inv = Inventory::parse_init(&s, &a, "∅* [STUDENT]* ∅*").unwrap();
+        let mut md = ShardedMonitor::new(&s, &a, &inv, PatternKind::All, 1);
+        let mut mr = ReferenceMonitor::new(&s, &a, &inv, PatternKind::All);
+        let (ed, er) =
+            (md.try_apply(&bulk, &none).unwrap_err(), mr.try_apply(&bulk, &none).unwrap_err());
+        match (ed, er) {
+            (EnforceError::Violation(vd), EnforceError::Violation(vr)) => assert_eq!(vd, vr),
+            other => panic!("expected violations, got {other:?}"),
+        }
+        assert_eq!(md.db().num_objects(), 0, "violating bulk load must roll back");
+        // The same load against a permitting inventory admits through
+        // the bulk path and matches the reference database.
+        let inv = Inventory::parse_init(&s, &a, "∅* [PERSON]* ∅*").unwrap();
+        let mut md = ShardedMonitor::new(&s, &a, &inv, PatternKind::All, 1);
+        let mut mr = ReferenceMonitor::new(&s, &a, &inv, PatternKind::All);
+        md.try_apply(&bulk, &none).unwrap();
+        mr.try_apply(&bulk, &none).unwrap();
+        assert_eq!(md.db().num_objects(), n);
+        assert_eq!(md.db(), mr.db());
+    }
+
+    #[test]
+    fn committed_patterns_always_inside_inventory() {
+        // Drive a randomized-ish batch; whatever commits must satisfy 𝔏
+        // letter by letter (prefix-closedness makes this the invariant).
+        let (s, a) = setup();
+        let ts = uni_transactions(&s);
+        let inv = Inventory::parse_init(
+            &s,
+            &a,
+            "∅* [PERSON]* [STUDENT]* [GRAD_ASSIST]* [EMPLOYEE]+ [PERSON]* ∅*",
+        )
+        .unwrap();
+        let mut m = ShardedMonitor::new(&s, &a, &inv, PatternKind::All, 1);
+        let script: Vec<(&str, &str)> = vec![
+            ("Mk", "1"),
+            ("St", "1"),
+            ("Mk", "2"),
+            ("Emp", "2"),
+            ("Emp", "1"),
+            ("UnSt", "1"),
+            ("Rm", "2"),
+            ("Nm", "1"),
+            ("Rm", "1"),
+        ];
+        let mut committed = 0;
+        for (t, v) in script {
+            let args = if t == "Nm" {
+                Assignment::new(vec![Value::str(v), Value::str("z")])
+            } else {
+                arg(v)
+            };
+            if m.try_apply(ts.get(t).unwrap(), &args).is_ok() {
+                committed += 1;
+            }
+        }
+        assert!(committed >= 5, "most of the script conforms");
+        for o in [Oid(1), Oid(2)] {
+            if let Some(p) = m.pattern_of(o) {
+                assert!(inv.contains(&p), "committed pattern {p:?} must lie in 𝔏");
+            }
+        }
+    }
+
+    #[test]
+    fn never_created_objects_constrain_all_kind() {
+        // 𝔏 = Init([PERSON]*): no ∅ anywhere, so even one application
+        // violates the never-created objects' pattern ∅ under kind=All…
+        let (s, a) = setup();
+        let ts = uni_transactions(&s);
+        let inv = Inventory::parse_init(&s, &a, "[PERSON]*").unwrap();
+        let mut m = ShardedMonitor::new(&s, &a, &inv, PatternKind::All, 1);
+        let err = m.try_apply(ts.get("Mk").unwrap(), &arg("1")).unwrap_err();
+        assert!(matches!(err, EnforceError::Violation(Violation { oid: None, .. })));
+        // …but immediate-start patterns never begin with ∅, so the same
+        // application is admitted under kind=ImmediateStart.
+        let mut m2 = ShardedMonitor::new(&s, &a, &inv, PatternKind::ImmediateStart, 1);
+        m2.try_apply(ts.get("Mk").unwrap(), &arg("1")).unwrap();
+        assert_eq!(m2.clock(0), 1);
+    }
+
+    #[test]
+    fn proper_kind_exempts_after_noop_step() {
+        // 𝔏 = Init(∅*[PERSON][STUDENT]∅*) — persons must study on their
+        // second letter. A no-op modify breaks properness first, after
+        // which the object is unconstrained under kind=Proper.
+        let (s, a) = setup();
+        let ts = uni_transactions(&s);
+        let inv = Inventory::parse_init(&s, &a, "∅* [PERSON] [STUDENT] ∅*").unwrap();
+        let x = arg("1");
+        let noop = Assignment::new(vec![Value::str("1"), Value::str("n")]); // Name already "n"
+
+        let mut strict = ShardedMonitor::new(&s, &a, &inv, PatternKind::All, 1);
+        strict.try_apply(ts.get("Mk").unwrap(), &x).unwrap();
+        assert!(
+            strict.try_apply(ts.get("Nm").unwrap(), &noop).is_err(),
+            "kind=All rejects: [P][P] ∉ 𝔏"
+        );
+
+        let mut proper = ShardedMonitor::new(&s, &a, &inv, PatternKind::Proper, 1);
+        proper.try_apply(ts.get("Mk").unwrap(), &x).unwrap();
+        proper.try_apply(ts.get("Nm").unwrap(), &noop).unwrap();
+        // o1's pattern [P][P] is not proper — exempt from here on, even
+        // for letters far outside 𝔏:
+        proper.try_apply(ts.get("Emp").unwrap(), &x).unwrap();
+        assert_eq!(proper.pattern_of(Oid(1)).unwrap().len(), 3);
+    }
+
+    #[test]
+    fn lazy_kind_exempts_on_role_preserving_change() {
+        // A *real* rename changes the object but not its role set: the
+        // pattern stays proper but stops being lazy.
+        let (s, a) = setup();
+        let ts = uni_transactions(&s);
+        let inv = Inventory::parse_init(&s, &a, "∅* [PERSON] [STUDENT] ∅*").unwrap();
+        let x = arg("1");
+        let rename = Assignment::new(vec![Value::str("1"), Value::str("other")]);
+
+        let mut lazy = ShardedMonitor::new(&s, &a, &inv, PatternKind::Lazy, 1);
+        lazy.try_apply(ts.get("Mk").unwrap(), &x).unwrap();
+        lazy.try_apply(ts.get("Nm").unwrap(), &rename).unwrap();
+        lazy.try_apply(ts.get("Emp").unwrap(), &x).unwrap();
+
+        let mut proper = ShardedMonitor::new(&s, &a, &inv, PatternKind::Proper, 1);
+        proper.try_apply(ts.get("Mk").unwrap(), &x).unwrap();
+        assert!(
+            proper.try_apply(ts.get("Nm").unwrap(), &rename).is_err(),
+            "the rename is a proper step, so [P][P] is checked and fails"
+        );
+    }
+
+    #[test]
+    fn deleted_objects_trailing_empties_are_enforced() {
+        // 𝔏 = Init(∅*[PERSON]∅) allows exactly one trailing ∅ after
+        // deletion: a second application afterwards violates kind=All.
+        let (s, a) = setup();
+        let ts = uni_transactions(&s);
+        let inv = Inventory::parse_init(&s, &a, "∅* [PERSON] ∅").unwrap();
+        let mut m = ShardedMonitor::new(&s, &a, &inv, PatternKind::All, 1);
+        m.try_apply(ts.get("Mk").unwrap(), &arg("1")).unwrap();
+        m.try_apply(ts.get("Rm").unwrap(), &arg("1")).unwrap();
+        let err = m.try_apply(ts.get("Mk").unwrap(), &arg("2")).unwrap_err();
+        match err {
+            EnforceError::Violation(v) => {
+                assert_eq!(v.oid, Some(Oid(1)), "o1's pattern would be [P]∅∅");
+                assert_eq!(v.letter, a.empty_symbol());
+            }
+            other => panic!("unexpected {other}"),
+        }
+        // Under Proper the second trailing ∅ makes o1's pattern improper
+        // (and ∅∅ exempts the never-created class too): admitted.
+        let mut pm = ShardedMonitor::new(&s, &a, &inv, PatternKind::Proper, 1);
+        pm.try_apply(ts.get("Mk").unwrap(), &arg("1")).unwrap();
+        pm.try_apply(ts.get("Rm").unwrap(), &arg("1")).unwrap();
+        pm.try_apply(ts.get("Mk").unwrap(), &arg("2")).unwrap();
+    }
+
+    #[test]
+    fn late_created_objects_start_from_pre_state() {
+        // 𝔏 = Init(∅[PERSON]*∅*): creation must happen exactly at step 2.
+        let (s, a) = setup();
+        let ts = uni_transactions(&s);
+        let inv = Inventory::parse_init(&s, &a, "∅ [PERSON]* ∅*").unwrap();
+        let mut m = ShardedMonitor::new(&s, &a, &inv, PatternKind::All, 1);
+        // Step 1 must emit ∅ for (not-yet-created) o1 — Mk at step 1
+        // violates o1's pattern [P] (𝔏 requires a leading ∅).
+        let err = m.try_apply(ts.get("Mk").unwrap(), &arg("1")).unwrap_err();
+        assert!(matches!(err, EnforceError::Violation(Violation { oid: Some(_), .. })));
+        // A no-op delete emits the required ∅ first; then Mk is fine.
+        m.try_apply(ts.get("Rm").unwrap(), &arg("zzz")).unwrap();
+        m.try_apply(ts.get("Mk").unwrap(), &arg("1")).unwrap();
+        assert_eq!(m.pattern_of(Oid(1)).unwrap().to_vec(), {
+            let p = a.symbol_of(RoleSet::closure_of_named(&s, &["PERSON"]).unwrap()).unwrap();
+            vec![a.empty_symbol(), p]
+        });
+    }
+
+    #[test]
+    fn only_changing_policy_skips_null_applications() {
+        let (s, a) = setup();
+        let ts = uni_transactions(&s);
+        let inv = Inventory::parse_init(&s, &a, "∅ [PERSON]* ∅*").unwrap();
+        let mut m = ShardedMonitor::new(&s, &a, &inv, PatternKind::All, 1)
+            .with_policy(StepPolicy::OnlyChanging);
+        // The no-op delete changes nothing: contributes no letter under
+        // the CSL semantics, so creation still happens "at step 1" and
+        // violates the required leading ∅.
+        m.try_apply(ts.get("Rm").unwrap(), &arg("zzz")).unwrap();
+        assert_eq!(m.clock(0), 0);
+        assert!(m.try_apply(ts.get("Mk").unwrap(), &arg("1")).is_err());
+    }
+
+    #[test]
+    fn certification_fast_path_matches_decide() {
+        // Example 3.4's schema characterizes Init(∅*([S]+[G]*)*∅*); a
+        // certified monitor admits any run of it without checks.
+        let (s, a) = setup();
+        let ts = certifiable_transactions(&s);
+        let inv = Inventory::parse_init(&s, &a, "∅* [STUDENT]* ∅*").unwrap();
+        let mut m = ShardedMonitor::new(&s, &a, &inv, PatternKind::All, 1);
+        assert!(m.certify(&ts).unwrap(), "the schema satisfies the inventory");
+        assert!(m.is_certified());
+        m.try_apply(ts.get("T1").unwrap(), &t1_args("1")).unwrap();
+        assert_eq!(m.db().num_objects(), 1);
+        assert!(m.pattern_of(Oid(1)).is_none(), "certified mode skips tracking");
+
+        // A schema that can violate must fail certification.
+        let bad = uni_transactions(&s);
+        let mut m2 = ShardedMonitor::new(&s, &a, &inv, PatternKind::All, 1);
+        assert!(!m2.certify(&bad).unwrap());
+        assert!(!m2.is_certified());
+    }
+
+    #[test]
+    fn mid_run_certification_freezes_patterns_identically() {
+        // Certifying after some steps must freeze pattern tracking in
+        // both engines at the same horizon — certified steps must not
+        // fabricate repeat letters in the RLE reconstruction.
+        let (s, a) = setup();
+        let ts = certifiable_transactions(&s);
+        let inv = Inventory::parse_init(&s, &a, "∅* [STUDENT]* ∅*").unwrap();
+        let t1 = ts.get("T1").unwrap();
+        let mut fast = ShardedMonitor::new(&s, &a, &inv, PatternKind::All, 1);
+        fast.try_apply(t1, &t1_args("1")).unwrap();
+        assert!(fast.certify(&ts).unwrap());
+        fast.try_apply(t1, &t1_args("2")).unwrap();
+        assert_eq!(fast.clock(0), 2);
+        let mut oracle = ReferenceMonitor::new(&s, &a, &inv, PatternKind::All);
+        oracle.try_apply(t1, &t1_args("1")).unwrap();
+        assert!(oracle.certify(&ts).unwrap());
+        oracle.try_apply(t1, &t1_args("2")).unwrap();
+        assert_eq!(oracle.steps(), 2);
+        // o1's pattern is frozen at one letter ([STUDENT]); the certified
+        // step contributed nothing to tracking. Both engines agree.
+        assert_eq!(fast.pattern_of(Oid(1)), oracle.pattern_of(Oid(1)));
+        assert_eq!(fast.pattern_of(Oid(1)).unwrap().len(), 1);
+        // o2 was created after certification: untracked in both engines.
+        assert!(fast.pattern_of(Oid(2)).is_none());
+        assert!(oracle.pattern_of(Oid(2)).is_none());
+        // Certification is one-way: a later non-certifying schema reports
+        // false but does not resurrect checks over stale tracking state.
+        let bad = uni_transactions(&s);
+        assert!(!fast.certify(&bad).unwrap());
+        assert!(fast.is_certified());
+    }
+
+    #[test]
+    fn certify_rejects_csl() {
+        let (s, a) = setup();
+        let csl = parse_transactions(
+            &s,
+            r#"transaction G(x) {
+                 when PERSON(SSN = x) -> delete(PERSON, { SSN = x });
+               }"#,
+        )
+        .unwrap();
+        let inv = Inventory::parse_init(&s, &a, "∅* [PERSON]* ∅*").unwrap();
+        let mut m = ShardedMonitor::new(&s, &a, &inv, PatternKind::All, 1);
+        assert!(matches!(m.certify(&csl), Err(CoreError::NotSl)));
+    }
+
+    #[test]
+    fn certify_on_multi_shard_monitor_is_refused_and_logs_nothing() {
+        // The certification marker carries one letter clock: a 2-shard
+        // monitor refuses before deciding, and its log stays empty.
+        let (s, a) = setup();
+        let ts = certifiable_transactions(&s);
+        let inv = Inventory::parse_init(&s, &a, "∅* [STUDENT]* ∅*").unwrap();
+        let wal = Arc::new(Mutex::new(MemoryWal::new()));
+        let mut m = ShardedMonitor::new(&s, &a, &inv, PatternKind::All, 2).with_sink(wal.clone());
+        assert_eq!(m.certify(&ts), Err(CoreError::CertifyShards(2)));
+        assert!(!m.is_certified());
+        assert_eq!(wal.lock().unwrap().log_len(), 0, "nothing reached the log");
+        // The monitor keeps checking: a conforming application commits
+        // through the regular path.
+        m.try_apply(ts.get("T1").unwrap(), &t1_args("1")).unwrap();
+        assert!(m.pattern_of(Oid(1)).is_some(), "tracking still runs");
+    }
+
+    #[test]
+    fn certified_log_recovers_byte_identically() {
+        // A durable one-shard monitor: a checked letter, the
+        // certification marker, then certified applications — single
+        // and batched (one logged block of three deltas). Recovery from
+        // the log alone lands on the same bytes and stays certified.
+        let (s, a) = setup();
+        let ts = certifiable_transactions(&s);
+        let inv = Inventory::parse_init(&s, &a, "∅* [STUDENT]* ∅*").unwrap();
+        let wal = Arc::new(Mutex::new(MemoryWal::new()));
+        let mut live =
+            ShardedMonitor::new(&s, &a, &inv, PatternKind::All, 1).with_sink(wal.clone());
+        let t1 = ts.get("T1").unwrap();
+        live.try_apply(t1, &t1_args("1")).unwrap();
+        assert!(live.certify(&ts).unwrap());
+        live.try_apply(t1, &t1_args("2")).unwrap();
+        let batch = [t1_args("3"), t1_args("4"), t1_args("5")];
+        let (done, err) = live.try_apply_batch(batch.iter().map(|x| (t1, x)));
+        assert_eq!((done, err), (3, None));
+        assert_eq!(live.clock(0), 5);
+        let records = wal.lock().unwrap().records();
+        assert_eq!(records.len(), 4, "checked block, marker, single block, batch block");
+        assert!(matches!(records[1], WalRecord::Certified { steps: 1 }));
+        let recovered =
+            ShardedMonitor::recover(&s, &a, &inv, PatternKind::All, 1, None, records).unwrap();
+        assert!(recovered.is_certified());
+        assert_eq!(recovered.snapshot().encode(), live.snapshot().encode());
+        assert_eq!(recovered.db(), live.db());
+        assert_eq!(recovered.pattern_of(Oid(1)).unwrap().len(), 1, "frozen at certification");
+        assert!(recovered.pattern_of(Oid(3)).is_none(), "post-certification objects untracked");
+        // A certified monitor refuses online redefinition.
+        assert!(matches!(
+            live.redefine(&inv, ResiduePolicy::Quarantine),
+            Err(EnforceError::Redefine(_))
+        ));
+    }
+
+    #[test]
+    fn monitor_agrees_with_explorer_families() {
+        // Cross-validation against the ground-truth enumerator: every
+        // pattern the explorer produces within the inventory must drive
+        // the monitor without rejection along its own run — here spot-
+        // checked by replaying explorer-admissible scripts.
+        let (s, a) = setup();
+        let ts = uni_transactions(&s);
+        let inv = Inventory::parse_init(
+            &s,
+            &a,
+            "∅* [PERSON]* [STUDENT]* [GRAD_ASSIST]* [EMPLOYEE]* [PERSON]* ∅*",
+        )
+        .unwrap();
+        let sets =
+            explore(&s, &a, &ts, &ExploreConfig { max_steps: 3, ..ExploreConfig::default() });
+        // All explored patterns inside 𝔏 are admissible: the monitor is
+        // not *stricter* than the constraint (completeness per prefix).
+        let admissible = sets.all.iter().filter(|w| inv.contains(w)).count();
+        assert!(admissible > 0);
+        // And every pattern the monitor commits lies in 𝔏 (soundness):
+        // exercised by the batch test above; here check the two agree on
+        // the empty run.
+        assert!(inv.contains(&[]));
+    }
+
+    #[test]
+    fn try_apply_all_reports_commit_count() {
+        let (s, a) = setup();
+        let ts = uni_transactions(&s);
+        let inv = Inventory::parse_init(&s, &a, "∅* [PERSON]* ∅*").unwrap();
+        let mut m = ShardedMonitor::new(&s, &a, &inv, PatternKind::All, 1);
+        let x = arg("1");
+        let mk = ts.get("Mk").unwrap();
+        let st = ts.get("St").unwrap();
+        let rm = ts.get("Rm").unwrap();
+        let (done, err) = m.try_apply_all([(mk, &x), (st, &x), (rm, &x)]);
+        assert_eq!(done, 1, "St violates [PERSON]*");
+        assert!(err.is_some());
+        assert_eq!(m.db().num_objects(), 1);
+    }
+
+    /// Replay a script on a one-shard monitor and the reference engine,
+    /// asserting identical commit prefixes, identical violations,
+    /// identical databases and identical recorded patterns.
+    fn assert_engines_agree(
+        inv_src: &str,
+        kind: PatternKind,
+        policy: StepPolicy,
+        script: &[(&str, Assignment)],
+    ) {
+        let (s, a) = setup();
+        let ts = uni_transactions(&s);
+        let inv = Inventory::parse_init(&s, &a, inv_src).unwrap();
+        let mut fast = ShardedMonitor::new(&s, &a, &inv, kind, 1).with_policy(policy);
+        let mut oracle = ReferenceMonitor::new(&s, &a, &inv, kind).with_policy(policy);
+        for (i, (name, args)) in script.iter().enumerate() {
+            let t = ts.get(name).unwrap();
+            let rf = fast.try_apply(t, args);
+            let ro = oracle.try_apply(t, args);
+            assert_eq!(rf, ro, "engines disagree at step {i} ({name}) under {kind} / {inv_src}");
+            assert_eq!(fast.db(), oracle.db(), "databases diverged at step {i}");
+            assert_eq!(fast.clock(0), oracle.steps(), "letter counts diverged at step {i}");
+        }
+        for o in fast.db().objects().chain((1..=script.len() as u64).map(Oid)) {
+            assert_eq!(fast.pattern_of(o), oracle.pattern_of(o), "pattern of o{} diverged", o.0);
+        }
+    }
+
+    #[test]
+    fn delta_engine_matches_reference_on_scripted_runs() {
+        let one = |n: &'static str| (n, arg("1"));
+        let two = |n: &'static str| (n, arg("2"));
+        let script: Vec<(&str, Assignment)> = vec![
+            one("Mk"),
+            one("St"),
+            two("Mk"),
+            two("Emp"),
+            one("Emp"),
+            one("UnSt"),
+            ("Nm", Assignment::new(vec![Value::str("1"), Value::str("z")])),
+            ("Nm", Assignment::new(vec![Value::str("1"), Value::str("z")])), // no-op rename
+            two("Rm"),
+            one("Rm"),
+            ("Mk", arg("3")),
+        ];
+        for inv in [
+            "∅* [PERSON]* [STUDENT]* [GRAD_ASSIST]* [EMPLOYEE]+ [PERSON]* ∅*",
+            "∅* [PERSON]* [STUDENT]* [PERSON]* ∅*",
+            "∅* [PERSON]+ ∅",
+            "∅ [PERSON]* [EMPLOYEE]* ∅*",
+        ] {
+            for kind in PatternKind::ALL {
+                for policy in [StepPolicy::EveryApplication, StepPolicy::OnlyChanging] {
+                    assert_engines_agree(inv, kind, policy, &script);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn untouched_objects_cost_one_cohort_step() {
+        // 50 parallel persons; each application touches exactly one. The
+        // cohort map must stay tiny and last_touched must track the
+        // delta, not the database.
+        let (s, a) = setup();
+        let ts = uni_transactions(&s);
+        let blip = parse_transactions(
+            &s,
+            r#"
+            transaction Blip(x) {
+              generalize(STUDENT, { SSN = x });
+              create(PERSON, { SSN = "tmp", Name = "n" });
+              delete(PERSON, { SSN = "tmp" });
+            }
+        "#,
+        )
+        .unwrap();
+        let inv = Inventory::parse_init(&s, &a, "∅* [PERSON]* [STUDENT]* [PERSON]* ∅*").unwrap();
+        let mut m = ShardedMonitor::new(&s, &a, &inv, PatternKind::All, 1);
+        for i in 0..50 {
+            m.try_apply(ts.get("Mk").unwrap(), &arg(&format!("k{i}"))).unwrap();
+        }
+        m.try_apply(ts.get("St").unwrap(), &arg("k7")).unwrap();
+        assert_eq!(m.shard_stats()[0].last_touched, 1, "only k7 was touched");
+        let state = &m.shards[0];
+        assert!(
+            state.by_key.len() <= 3,
+            "50 objects collapse into ≤3 cohorts, got {}",
+            state.by_key.len()
+        );
+        // Histories are run-length encoded: 51 steps, but o1's record
+        // holds a single segment ([P] since step 1).
+        let rec = &state.records[&Oid(1)];
+        assert_eq!(rec.segments.len(), 1, "no per-step history growth");
+        assert_eq!(m.pattern_of(Oid(1)).unwrap().len(), 51, "full pattern reconstructs");
+        // o8 (= k7) changed role once: two segments.
+        let touched = &state.records[&Oid(8)];
+        assert_eq!(touched.segments.len(), 2);
+        // `last_touched` counts tracked objects only: an object minted
+        // and deleted within one application is never observable, so it
+        // is not part of the count even though it is in the change-set.
+        m.try_apply(blip.get("Blip").unwrap(), &arg("k7")).unwrap();
+        assert_eq!(m.shard_stats()[0].last_touched, 1, "the within-step blip is not counted");
+        assert_eq!(m.db().num_objects(), 50);
+    }
+
+    #[test]
+    fn violation_diagnostics_identical_to_reference_with_many_objects() {
+        // Several objects violate "simultaneously": the delta engine must
+        // report the same (first-by-oid) object, pattern and letter the
+        // reference scan reports.
+        let (s, a) = setup();
+        let ts = parse_transactions(
+            &s,
+            r#"
+            transaction Mk(x) { create(PERSON, { SSN = x, Name = "n" }); }
+            transaction RmAll() { delete(PERSON, { }); }
+        "#,
+        )
+        .unwrap();
+        // One trailing ∅ allowed after deletion; a bulk delete then one
+        // more application gives every deleted object its second ∅ at
+        // the same step.
+        let inv = Inventory::parse_init(&s, &a, "∅* [PERSON]+ ∅").unwrap();
+        let mut fast = ShardedMonitor::new(&s, &a, &inv, PatternKind::All, 1);
+        let mut oracle = ReferenceMonitor::new(&s, &a, &inv, PatternKind::All);
+        let none = Assignment::empty();
+        let prefix = [(ts.get("Mk").unwrap(), arg("a")), (ts.get("Mk").unwrap(), arg("b"))];
+        for (t, x) in prefix.iter().chain([(ts.get("RmAll").unwrap(), none)].iter()) {
+            fast.try_apply(t, x).unwrap();
+            oracle.try_apply(t, x).unwrap();
+        }
+        let ef = fast.try_apply(ts.get("Mk").unwrap(), &arg("c")).unwrap_err();
+        let eo = oracle.try_apply(ts.get("Mk").unwrap(), &arg("c")).unwrap_err();
+        assert_eq!(ef, eo);
+        match ef {
+            EnforceError::Violation(v) => {
+                assert_eq!(v.oid, Some(Oid(1)), "lowest-oid violator reported");
+                assert_eq!(v.pattern.len(), 4);
+                assert_eq!(v.letter, a.empty_symbol());
+            }
+            other => panic!("unexpected {other}"),
+        }
+        // Rejection rolled back: both databases agree and can continue.
+        assert_eq!(fast.db(), oracle.db());
+        assert_eq!(fast.clock(0), 3);
+    }
+
+    #[test]
+    fn proper_kind_folds_untouched_objects_into_exempt_cohort() {
+        let (s, a) = setup();
+        let ts = uni_transactions(&s);
+        let inv = Inventory::parse_init(&s, &a, "∅* [PERSON] [STUDENT] ∅*").unwrap();
+        let mut m = ShardedMonitor::new(&s, &a, &inv, PatternKind::Proper, 1);
+        for i in 0..10 {
+            m.try_apply(ts.get("Mk").unwrap(), &arg(&format!("k{i}"))).unwrap();
+        }
+        let state = &m.shards[0];
+        // After step 2 under Proper, every untouched object is exempt:
+        // only the latest creation can still occupy a live cohort.
+        assert!(state.by_key.len() <= 1);
+        assert!(state.cohorts[EXEMPT as usize].size >= 9);
+    }
+
+    #[test]
+    fn cyclic_workloads_recycle_cohort_slots() {
+        // St/UnSt toggling empties and recreates cohorts every step; the
+        // free list must keep the slot table bounded instead of growing
+        // one slot per application.
+        let (s, a) = setup();
+        let ts = uni_transactions(&s);
+        let inv = Inventory::parse_init(&s, &a, "∅* ([PERSON] ∪ [STUDENT])* ∅*").unwrap();
+        // All exercises the re-key path; Proper and Lazy exercise the
+        // fold-to-exempt path. Same-object toggling empties and recreates
+        // a singleton cohort every step (free-list path); rotating over
+        // several objects leaves live forwarders behind each fold
+        // (compaction path).
+        for kind in [PatternKind::All, PatternKind::Proper, PatternKind::Lazy] {
+            for rotate in [false, true] {
+                let keys = ["a", "b", "c"];
+                let mut m = ShardedMonitor::new(&s, &a, &inv, kind, 1);
+                for k in keys {
+                    m.try_apply(ts.get("Mk").unwrap(), &arg(k)).unwrap();
+                }
+                for i in 0..300 {
+                    let t = if i % 2 == 0 { "St" } else { "UnSt" };
+                    let k = if rotate { keys[(i / 2) % keys.len()] } else { "b" };
+                    m.try_apply(ts.get(t).unwrap(), &arg(k)).unwrap();
+                }
+                let state = &m.shards[0];
+                assert!(
+                    state.cohorts.len() <= 65,
+                    "300 toggles (rotate {rotate}) under {kind} must bound the slot \
+                     table, got {} cohorts",
+                    state.cohorts.len()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn lang_errors_are_distinguished_from_violations() {
+        let (s, a) = setup();
+        let ts = uni_transactions(&s);
+        let inv = Inventory::parse_init(&s, &a, "∅* [PERSON]* ∅*").unwrap();
+        let mut m = ShardedMonitor::new(&s, &a, &inv, PatternKind::All, 1);
+        // Wrong arity: a Lang error, not a violation; nothing committed.
+        let bad = Assignment::new(vec![]);
+        let err = m.try_apply(ts.get("Mk").unwrap(), &bad).unwrap_err();
+        assert!(matches!(err, EnforceError::Lang(_)));
+        assert!(!format!("{err}").is_empty());
+        assert_eq!(m.clock(0), 0);
     }
 }

@@ -23,9 +23,9 @@
 //! Recovery folds each shard's sub-log independently — a record is
 //! skipped for a shard whose clock (restored from the checkpoint chain)
 //! is already past it, and replayed at its original commit granularity
-//! otherwise. Gap detection is per shard. For the single
-//! [`Monitor`](super::Monitor) everything lives on shard 0 and the
-//! shard-local clock *is* the global step counter.
+//! otherwise. Gap detection is per shard. For a one-shard monitor
+//! everything lives on shard 0 and the shard-local clock *is* the global
+//! step counter.
 //!
 //! # Durability contract
 //!
@@ -51,8 +51,8 @@
 //!   base + increments with [`Snapshot::apply`] reproduces the full
 //!   state byte-identically.
 //!
-//! Capturing an increment ([`Monitor::checkpoint_delta`],
-//! [`ShardedMonitor::checkpoint_delta`]) costs O(dirty), not O(db) —
+//! Capturing an increment ([`ShardedMonitor::checkpoint_delta`]) costs
+//! O(dirty), not O(db) —
 //! that is the *only* work on the admission path.
 //! [`Wal::begin_checkpoint`] then rotates the live log (a rename) and
 //! returns a [`CheckpointJob`] whose encode/write/fsync/prune runs
@@ -94,7 +94,7 @@
 //! corruption instead of silently hiding every later record.
 //!
 //! ```
-//! use migratory_core::enforce::{MemoryWal, Monitor};
+//! use migratory_core::enforce::{MemoryWal, ShardedMonitor};
 //! use migratory_core::{Inventory, PatternKind, RoleAlphabet};
 //! use migratory_lang::{parse_transactions, Assignment};
 //! use migratory_model::{schema::university_schema, Value};
@@ -108,19 +108,18 @@
 //! "#).unwrap();
 //! let wal = Arc::new(Mutex::new(MemoryWal::new()));
 //! // Write-ahead: each admitted block is logged before tracking moves.
-//! let mut m = Monitor::new(&s, &a, &inv, PatternKind::All).with_sink(wal.clone());
+//! let mut m = ShardedMonitor::new(&s, &a, &inv, PatternKind::All, 1).with_sink(wal.clone());
 //! let mk = ts.get("Mk").unwrap();
 //! m.try_apply(mk, &Assignment::new(vec![Value::str("1")])).unwrap();
 //! m.try_apply(mk, &Assignment::new(vec![Value::str("2")])).unwrap();
 //! // "Crash": rebuild from the log alone — byte-identical state.
 //! let records = wal.lock().unwrap().records();
-//! let r = Monitor::recover(&s, &a, &inv, PatternKind::All, None, records).unwrap();
+//! let r = ShardedMonitor::recover(&s, &a, &inv, PatternKind::All, 1, None, records).unwrap();
 //! assert_eq!(r.snapshot().encode(), m.snapshot().encode());
 //! assert_eq!(r.db().num_objects(), 2);
 //! ```
 //!
 //! [`Delta`]: migratory_lang::Delta
-//! [`Monitor::checkpoint_delta`]: super::Monitor::checkpoint_delta
 //! [`ShardedMonitor::checkpoint_delta`]: super::ShardedMonitor::checkpoint_delta
 
 use super::delta::{Cohort, DeltaState, ObjRecord};
@@ -296,15 +295,16 @@ pub struct WalBlock {
 pub enum WalRecord {
     /// A committed block of effective letters.
     Block(WalBlock),
-    /// [`Monitor::certify`](super::Monitor::certify) succeeded with the
-    /// monitor at this letter count (shard 0's clock — only the single
-    /// monitor certifies).
+    /// [`ShardedMonitor::certify`](super::ShardedMonitor::certify)
+    /// succeeded with the monitor at this letter count (shard 0's clock
+    /// — only a one-shard monitor certifies).
     Certified {
         /// Letters emitted when certification took effect.
         steps: usize,
     },
     /// The inventory was redefined online
-    /// ([`Monitor::redefine`](super::Monitor::redefine)): the epoch the
+    /// ([`ShardedMonitor::redefine`](super::ShardedMonitor::redefine)):
+    /// the epoch the
     /// monitor moved to, the residue policy, every participating
     /// shard's letter clock at the swap instant, and the canonical
     /// encoding of the new automaton. Replay re-runs the same
@@ -669,9 +669,8 @@ pub struct Snapshot {
 
 impl Snapshot {
     /// Sum of the per-shard letter clocks at the moment of the
-    /// checkpoint — a monotone progress measure (for a single
-    /// [`Monitor`](super::Monitor) it is exactly the global step
-    /// counter).
+    /// checkpoint — a monotone progress measure (for a one-shard
+    /// monitor it is exactly the global step counter).
     #[must_use]
     pub fn steps(&self) -> usize {
         self.shards.iter().map(|s| s.steps).sum()
@@ -689,8 +688,7 @@ impl Snapshot {
         &self.db
     }
 
-    /// Number of tracking shards (1 for the single
-    /// [`Monitor`](super::Monitor)).
+    /// Number of tracking shards.
     #[must_use]
     pub fn num_shards(&self) -> usize {
         self.shards.len()
@@ -866,7 +864,6 @@ pub(crate) struct ShardDelta {
 /// everything dirtied since the previous checkpoint — changed database
 /// objects, changed tracking records, and each shard's (small) cohort
 /// tables and letter clock. Produced by
-/// [`Monitor::checkpoint_delta`](super::Monitor::checkpoint_delta) /
 /// [`ShardedMonitor::checkpoint_delta`](super::ShardedMonitor::checkpoint_delta)
 /// in O(dirty); folded back with [`Snapshot::apply`].
 pub struct CheckpointDelta {
@@ -1014,9 +1011,8 @@ impl CheckpointDelta {
 }
 
 /// Capture an incremental checkpoint from a database plus its tracking
-/// partitions, draining each partition's dirty set — the shared
-/// implementation behind
-/// [`Monitor::checkpoint_delta`](super::Monitor::checkpoint_delta) and
+/// partitions, draining each partition's dirty set — the implementation
+/// behind
 /// [`ShardedMonitor::checkpoint_delta`](super::ShardedMonitor::checkpoint_delta).
 /// O(dirty): only dirtied objects are re-read from the heap, only
 /// dirtied records cloned (all of them after a compaction), plus the
@@ -1922,7 +1918,7 @@ impl MemoryWal {
         MemoryWal::default()
     }
 
-    /// Attach an [`IoFaults`] error schedule: `committed`/`certified`
+    /// Attach an [`IoFaults`] error schedule: `committed`/`certified`/`redefined`
     /// consult the [`FaultSite::AppendWrite`] site before encoding,
     /// mirroring the file-backed [`Wal`] — so ingress-level failure
     /// policies are testable without a real disk.
@@ -2005,47 +2001,6 @@ impl CommitSink for MemoryWal {
     ) -> Result<(), WalError> {
         self.faults.check(FaultSite::AppendWrite)?;
         encode_redefine_record(&mut self.log, epoch, policy, shards, inventory)
-    }
-}
-
-/// A sink that fails on command — exercises the abort-on-sink-error
-/// contract in tests.
-#[doc(hidden)]
-#[derive(Default)]
-pub struct FailingSink {
-    /// When true, every commit errors.
-    pub fail: bool,
-    /// Blocks accepted while `fail` was false.
-    pub accepted: usize,
-}
-
-impl CommitSink for FailingSink {
-    fn committed(&mut self, _block: &BlockRef<'_>) -> Result<(), WalError> {
-        if self.fail {
-            return Err(WalError::Io("injected sink failure".into()));
-        }
-        self.accepted += 1;
-        Ok(())
-    }
-
-    fn certified(&mut self, _steps: usize) -> Result<(), WalError> {
-        if self.fail {
-            return Err(WalError::Io("injected sink failure".into()));
-        }
-        Ok(())
-    }
-
-    fn redefined(
-        &mut self,
-        _epoch: u64,
-        _policy: ResiduePolicy,
-        _shards: &[(u32, usize)],
-        _inventory: &[u8],
-    ) -> Result<(), WalError> {
-        if self.fail {
-            return Err(WalError::Io("injected sink failure".into()));
-        }
-        Ok(())
     }
 }
 

@@ -35,6 +35,10 @@ pub enum CoreError {
     /// A durable monitor could not persist an enforcement event (e.g.
     /// the certification marker); the event did not take effect.
     Durability(String),
+    /// Static certification was asked of a monitor with this many
+    /// shards; only a one-shard monitor certifies (the certification
+    /// marker carries one letter clock). Nothing was decided or logged.
+    CertifyShards(usize),
 }
 
 impl From<ModelError> for CoreError {
@@ -73,6 +77,9 @@ impl std::fmt::Display for CoreError {
                 write!(f, "separator construction exceeded the vertex budget ({n})")
             }
             CoreError::Durability(msg) => write!(f, "durability: {msg}"),
+            CoreError::CertifyShards(n) => {
+                write!(f, "only a one-shard monitor certifies; this one has {n} shards")
+            }
         }
     }
 }

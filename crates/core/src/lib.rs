@@ -25,17 +25,17 @@
 //!   objects advance via cohorts keyed by (DFA state, role symbol) — one
 //!   `dfa.step` per cohort, not per object — and per-object histories are
 //!   run-length encoded, so admitting a transaction costs O(touched +
-//!   |cohorts|) instead of O(|db| × run-length). The pre-optimization
-//!   rescan algorithm survives as `Monitor::new_reference`, the testing
-//!   oracle and benchmark baseline, and Corollary 3.3 still provides the
-//!   static certification fast path for provably conforming SL schemas.
-//!   Because objects evolve independently (Lemma 3.5), tracking also
-//!   *shards*: `enforce::ShardedMonitor` partitions the population by
-//!   weakly-connected role component (oid stripes as fallback), stages
-//!   every shard's checks concurrently, and batch-admits whole blocks of
-//!   transactions against one cohort sweep per shard
-//!   (`try_apply_batch`), coordinating only through the shared step
-//!   counter. Tracking state is **durable** on request: a write-ahead
+//!   |cohorts|) instead of O(|db| × run-length). Because objects evolve
+//!   independently (Lemma 3.5), the one monitor, `enforce::ShardedMonitor`,
+//!   partitions the population by weakly-connected role component (oid
+//!   stripes as fallback), each partition on its own letter clock,
+//!   stages every shard's checks concurrently, and batch-admits whole
+//!   blocks of transactions against one cohort sweep per shard
+//!   (`try_apply_batch`); one shard is the single-partition monitor, and
+//!   Corollary 3.3 provides its static certification fast path for
+//!   provably conforming SL schemas. The pre-optimization rescan
+//!   algorithm survives as `enforce::ReferenceMonitor`, the testing
+//!   oracle and benchmark baseline. Tracking state is **durable** on request: a write-ahead
 //!   log of committed transaction deltas plus canonical snapshots
 //!   (`enforce::wal`, group-committed per block) lets a monitor recover
 //!   byte-identical state after a crash without replaying history, and
@@ -72,7 +72,7 @@ pub use analyze::{
 };
 pub use cfg_compile::{compile_cfg, standard_cfg_schema, CfgCompiled};
 pub use decide::{decide, decide_with_families, Decision, Verdict};
-pub use enforce::{EnforceError, Monitor, ShardStats, ShardedMonitor, StepPolicy, Violation};
+pub use enforce::{EnforceError, ShardStats, ShardedMonitor, StepPolicy, Violation};
 pub use error::CoreError;
 pub use explore::{explore, ExploreConfig, PatternSets};
 pub use graph::MigrationGraph;

@@ -1,8 +1,9 @@
 //! Cross-engine equivalence and O(touched) regression tests for the
 //! delta/cohort enforcement engine.
 //!
-//! The delta engine ([`Monitor::new`]) must be observationally identical
-//! to the reference engine ([`Monitor::new_reference`]): same
+//! The delta engine ([`ShardedMonitor`], one shard or many) must be
+//! observationally identical to the reference engine
+//! ([`ReferenceMonitor`], one per shard fed that shard's sub-run): same
 //! accept/reject decision on every prefix, byte-identical [`Violation`]s,
 //! identical databases and identical recorded patterns — across random
 //! schemas, random inventories, all four pattern kinds and random runs.
@@ -16,7 +17,7 @@ use common::{
     random_inventory, random_multi_schema, random_multi_transaction, random_schema,
     random_transaction,
 };
-use migratory::core::enforce::{EnforceError, Monitor, ShardedMonitor, StepPolicy};
+use migratory::core::enforce::{EnforceError, ReferenceMonitor, ShardedMonitor, StepPolicy};
 use migratory::core::{Inventory, PatternKind, RoleAlphabet};
 use migratory::lang::{apply_transaction_delta, Assignment, AtomicUpdate, Transaction};
 use migratory::model::{Atom, Condition, Instance, Oid};
@@ -40,8 +41,8 @@ fn delta_engine_equals_reference_engine_on_random_runs() {
         } else {
             StepPolicy::OnlyChanging
         };
-        let mut fast = Monitor::new(&schema, &alphabet, &inv, kind).with_policy(policy);
-        let mut oracle = Monitor::new_reference(&schema, &alphabet, &inv, kind).with_policy(policy);
+        let mut fast = ShardedMonitor::new(&schema, &alphabet, &inv, kind, 1).with_policy(policy);
+        let mut oracle = ReferenceMonitor::new(&schema, &alphabet, &inv, kind).with_policy(policy);
         let no_args = Assignment::empty();
         let run_len = rng.random_range(4usize..24);
         for step in 0..run_len {
@@ -53,7 +54,7 @@ fn delta_engine_equals_reference_engine_on_random_runs() {
                 "case {case} step {step}: engines disagree (kind {kind}, policy {policy:?})"
             );
             assert_eq!(fast.db(), oracle.db(), "case {case} step {step}: db diverged");
-            assert_eq!(fast.steps(), oracle.steps(), "case {case} step {step}");
+            assert_eq!(fast.clock(0), oracle.steps(), "case {case} step {step}");
             match rf {
                 Ok(()) => commits += 1,
                 Err(EnforceError::Violation(_)) => rejections += 1,
@@ -80,7 +81,8 @@ fn delta_engine_equals_reference_engine_on_random_runs() {
 /// Regression: a no-op application on a large database is recognized from
 /// the delta alone — the change-set is empty (no O(|DB|) before-images,
 /// no letter under `OnlyChanging`), and an admitted single-object step
-/// reports `last_touched == 1` no matter the store size.
+/// reports `last_touched == 1` (in [`ShardedMonitor::shard_stats`]) no
+/// matter the store size.
 #[test]
 fn noop_on_large_database_yields_empty_delta() {
     const N: usize = 10_000;
@@ -138,15 +140,15 @@ fn noop_on_large_database_yields_empty_delta() {
     // comparison), while a real single-object step reports one touched
     // object on a 10k-object store.
     let inv = Inventory::parse_init(&schema, &alphabet, "∅* ([PERSON] ∪ [STUDENT])* ∅*").unwrap();
-    let mut m = Monitor::new(&schema, &alphabet, &inv, PatternKind::All)
+    let mut m = ShardedMonitor::new(&schema, &alphabet, &inv, PatternKind::All, 1)
         .with_policy(StepPolicy::OnlyChanging);
     m.try_apply(&bulk, &no_args).unwrap();
-    assert_eq!(m.steps(), 1);
-    assert_eq!(m.last_touched(), Some(N));
+    assert_eq!(m.clock(0), 1);
+    assert_eq!(m.shard_stats()[0].last_touched, N);
     m.try_apply(&noop_rename, &no_args).unwrap();
-    assert_eq!(m.steps(), 1, "null application contributed no letter");
+    assert_eq!(m.clock(0), 1, "null application contributed no letter");
     m.try_apply(&miss, &no_args).unwrap();
-    assert_eq!(m.steps(), 1, "empty-selection application contributed no letter");
+    assert_eq!(m.clock(0), 1, "empty-selection application contributed no letter");
     let real = Transaction::sl(
         "real",
         &[],
@@ -157,10 +159,10 @@ fn noop_on_large_database_yields_empty_delta() {
         }],
     );
     m.try_apply(&real, &no_args).unwrap();
-    assert_eq!(m.steps(), 2);
+    assert_eq!(m.clock(0), 2);
     assert_eq!(
-        m.last_touched(),
-        Some(1),
+        m.shard_stats()[0].last_touched,
+        1,
         "admit-path work tracks the touched set, not the database"
     );
 }
@@ -189,7 +191,7 @@ fn sharded_monitor_equals_reference_engine_on_random_runs() {
         let mut sharded = ShardedMonitor::new(&schema, &alphabet, &inv, kind, shards)
             .with_policy(policy)
             .with_parallel_staging(parallel);
-        let mut oracle = Monitor::new_reference(&schema, &alphabet, &inv, kind).with_policy(policy);
+        let mut oracle = ReferenceMonitor::new(&schema, &alphabet, &inv, kind).with_policy(policy);
         let no_args = Assignment::empty();
         for step in 0..rng.random_range(4usize..20) {
             let t = random_transaction(&mut rng, &schema, &edges);
@@ -224,7 +226,7 @@ fn sharded_monitor_equals_reference_engine_on_random_runs() {
     assert!(rejections > 150, "only {rejections} rejections — workload too permissive");
 }
 
-/// The per-shard-clock equivalence harness: one reference [`Monitor`]
+/// The per-shard-clock equivalence harness: one [`ReferenceMonitor`]
 /// per shard, each fed exactly the subsequence of applications routed
 /// to its shard — the restricted run of Lemma 3.5. Object identifiers
 /// are compared through the restriction's order bijection (the n-th
@@ -233,7 +235,7 @@ fn sharded_monitor_equals_reference_engine_on_random_runs() {
 /// transaction; patterns, letters, clocks and decisions must then be
 /// **byte-identical** per shard.
 struct ShardOracles<'a> {
-    oracles: Vec<Monitor<'a>>,
+    oracles: Vec<ReferenceMonitor<'a>>,
     /// sharded-global oid → (shard, oracle-local oid).
     map: std::collections::BTreeMap<u64, (usize, u64)>,
 }
@@ -249,7 +251,7 @@ impl<'a> ShardOracles<'a> {
     ) -> Self {
         ShardOracles {
             oracles: (0..shards)
-                .map(|_| Monitor::new_reference(schema, alphabet, inv, kind).with_policy(policy))
+                .map(|_| ReferenceMonitor::new(schema, alphabet, inv, kind).with_policy(policy))
                 .collect(),
             map: std::collections::BTreeMap::new(),
         }
@@ -418,7 +420,7 @@ fn sharded_batch_admission_equals_reference_engine() {
         let mut sharded = ShardedMonitor::new(&schema, &alphabet, &inv, kind, shards)
             .with_policy(policy)
             .with_parallel_staging(rng.random_range(0u32..2) == 1);
-        let mut oracle = Monitor::new_reference(&schema, &alphabet, &inv, kind).with_policy(policy);
+        let mut oracle = ReferenceMonitor::new(&schema, &alphabet, &inv, kind).with_policy(policy);
         let no_args = Assignment::empty();
         let txns: Vec<Transaction> = (0..rng.random_range(6usize..24))
             .map(|_| random_transaction(&mut rng, &schema, &edges))
@@ -545,7 +547,7 @@ fn sharded_batch_admission_matches_per_shard_oracles() {
 }
 
 // ---------------------------------------------------------------------
-// Constraint evolution (`Monitor::redefine`) equivalence suites
+// Constraint evolution (`ShardedMonitor::redefine`) equivalence suites
 // ---------------------------------------------------------------------
 
 use migratory::automata::Regex;
@@ -585,8 +587,8 @@ fn identity_redefine_is_observationally_invisible() {
         } else {
             StepPolicy::OnlyChanging
         };
-        let mut fast = Monitor::new(&schema, &alphabet, &inv, kind).with_policy(policy);
-        let mut oracle = Monitor::new_reference(&schema, &alphabet, &inv, kind).with_policy(policy);
+        let mut fast = ShardedMonitor::new(&schema, &alphabet, &inv, kind, 1).with_policy(policy);
+        let mut oracle = ReferenceMonitor::new(&schema, &alphabet, &inv, kind).with_policy(policy);
         let no_args = Assignment::empty();
         for step in 0..rng.random_range(6usize..24) {
             if rng.random_range(0u32..5) == 0 {
@@ -617,7 +619,7 @@ fn identity_redefine_is_observationally_invisible() {
                  (kind {kind}, policy {policy:?})"
             );
             assert_eq!(fast.db(), oracle.db(), "case {case} step {step}: db diverged");
-            assert_eq!(fast.steps(), oracle.steps(), "case {case} step {step}");
+            assert_eq!(fast.clock(0), oracle.steps(), "case {case} step {step}");
             match rf {
                 Ok(()) => commits += 1,
                 Err(EnforceError::Violation(_)) => rejections += 1,
@@ -685,7 +687,7 @@ fn redefine_equals_fresh_monitor_replaying_viable_history() {
         )
         .expect("Init(regex) is an inventory");
         let kind = PatternKind::ALL[rng.random_range(0usize..4)];
-        let mut m = Monitor::new(&schema, &alphabet, &inv_a, kind)
+        let mut m = ShardedMonitor::new(&schema, &alphabet, &inv_a, kind, 1)
             .with_policy(StepPolicy::EveryApplication);
         // Pre-creation history: admitted letter steps that touch no
         // object (an unmatched delete is a letter under
@@ -713,14 +715,14 @@ fn redefine_equals_fresh_monitor_replaying_viable_history() {
         let out = m.redefine(&inv_b, residue_policy).expect("∅ history is viable under B");
         assert_eq!(out.epoch, 1, "case {case}");
         assert_eq!((out.residue, out.quarantined), (0, 0), "case {case}: no objects yet");
-        // The oracle: a monitor born with B, replaying the same viable
-        // history from scratch.
-        let mut fresh = Monitor::new(&schema, &alphabet, &inv_b, kind)
+        // The oracle: a reference monitor born with B, replaying the
+        // same viable history from scratch.
+        let mut fresh = ReferenceMonitor::new(&schema, &alphabet, &inv_b, kind)
             .with_policy(StepPolicy::EveryApplication);
         for _ in 0..steps0 {
             fresh.try_apply(&pad, &no_args).expect("∅ prefix is viable under B");
         }
-        assert_eq!(m.steps(), fresh.steps(), "case {case}: clocks diverged on replay");
+        assert_eq!(m.clock(0), fresh.steps(), "case {case}: clocks diverged on replay");
         for step in 0..rng.random_range(6usize..20) {
             let t = random_transaction(&mut rng, &schema, &edges);
             let rm = m.try_apply(&t, &no_args);
@@ -731,7 +733,7 @@ fn redefine_equals_fresh_monitor_replaying_viable_history() {
                  monitor (kind {kind}, {residue_policy})"
             );
             assert_eq!(m.db(), fresh.db(), "case {case} step {step}: db diverged");
-            assert_eq!(m.steps(), fresh.steps(), "case {case} step {step}");
+            assert_eq!(m.clock(0), fresh.steps(), "case {case} step {step}");
             match rm {
                 Ok(()) => commits += 1,
                 Err(EnforceError::Violation(_)) => rejections += 1,
@@ -751,10 +753,13 @@ fn redefine_equals_fresh_monitor_replaying_viable_history() {
 }
 
 /// 80 random runs redefining at a random point on a [`ShardedMonitor`]
-/// and a plain delta [`Monitor`] in lockstep: same outcome (epoch,
+/// and a one-shard [`ShardedMonitor`] in lockstep: same outcome (epoch,
 /// residue, quarantine split under both policies) or same refusal, and
 /// byte-identical behavior afterwards — the sharded all-shards-or-
-/// nothing swap is observationally the single-partition redefine.
+/// nothing swap is observationally the single-partition redefine. (The
+/// reference engine cannot redefine, so the single-partition side is
+/// the delta engine itself; the redefinition-free behavior of both
+/// sides is pinned against [`ReferenceMonitor`] by the suites above.)
 #[test]
 fn sharded_redefine_equals_single_monitor_redefine() {
     let mut rng = StdRng::seed_from_u64(0x5eed_0023);
@@ -775,7 +780,8 @@ fn sharded_redefine_equals_single_monitor_redefine() {
         let mut sharded = ShardedMonitor::new(&schema, &alphabet, &inv_a, kind, shards)
             .with_policy(policy)
             .with_parallel_staging(rng.random_range(0u32..2) == 1);
-        let mut single = Monitor::new(&schema, &alphabet, &inv_a, kind).with_policy(policy);
+        let mut single =
+            ShardedMonitor::new(&schema, &alphabet, &inv_a, kind, 1).with_policy(policy);
         let no_args = Assignment::empty();
         let run_len = rng.random_range(6usize..20);
         let redefine_at = rng.random_range(0..run_len);
@@ -812,7 +818,7 @@ fn sharded_redefine_equals_single_monitor_redefine() {
             );
             assert_eq!(sharded.db(), single.db(), "case {case} step {step}: db diverged");
             for c in sharded.clocks() {
-                assert_eq!(c, single.steps(), "case {case} step {step}: stripes not in lockstep");
+                assert_eq!(c, single.clock(0), "case {case} step {step}: stripes not in lockstep");
             }
             match rs {
                 Ok(()) => commits += 1,
@@ -837,8 +843,7 @@ fn sharded_redefine_equals_single_monitor_redefine() {
 /// A refused redefinition changes nothing: after the never-created
 /// class's consumed ∅-walk leaves the candidate inventory, the monitor
 /// must keep enforcing the old inventory byte-identically, at epoch 0.
-/// Also pins the refusal modes that need no traffic: the reference
-/// engine and alphabet mismatches.
+/// Also pins the refusal that needs no traffic: an alphabet mismatch.
 #[test]
 fn refused_redefine_leaves_the_monitor_untouched() {
     let mut rng = StdRng::seed_from_u64(0x5eed_0024);
@@ -865,9 +870,9 @@ fn refused_redefine_leaves_the_monitor_untouched() {
             .expect("some non-empty role set");
         let inv_b =
             Inventory::init_of_regex(&schema, &alphabet, &Regex::Sym(role)).expect("inventory");
-        let mut m = Monitor::new(&schema, &alphabet, &inv_a, PatternKind::All)
+        let mut m = ShardedMonitor::new(&schema, &alphabet, &inv_a, PatternKind::All, 1)
             .with_policy(StepPolicy::EveryApplication);
-        let mut oracle = Monitor::new_reference(&schema, &alphabet, &inv_a, PatternKind::All)
+        let mut oracle = ReferenceMonitor::new(&schema, &alphabet, &inv_a, PatternKind::All)
             .with_policy(StepPolicy::EveryApplication);
         let root = schema.class_id("C0").expect("root");
         let k = schema.attr_id("K").expect("key attr");
@@ -908,15 +913,21 @@ fn refused_redefine_leaves_the_monitor_untouched() {
     }
     assert_eq!(refused, 40);
 
-    // Refusals that need no traffic at all.
+    // A refusal that needs no traffic at all: an inventory spelled over
+    // a role alphabet of another size.
     let schema = migratory::model::schema::university_schema();
     let alphabet = RoleAlphabet::new(&schema, 0).unwrap();
     let inv = Inventory::parse_init(&schema, &alphabet, "∅* [PERSON]* ∅*").unwrap();
-    let mut reference = Monitor::new_reference(&schema, &alphabet, &inv, PatternKind::All);
-    match reference.redefine(&inv.clone(), ResiduePolicy::Quarantine) {
-        Err(EnforceError::Redefine(msg)) => {
-            assert!(msg.contains("reference engine"), "got: {msg}");
-        }
-        other => panic!("expected reference-engine refusal, got {other:?}"),
+    let mut b = migratory::model::SchemaBuilder::new();
+    b.class("R", &["K"]).unwrap();
+    let other = b.build().unwrap();
+    let other_alphabet = RoleAlphabet::new(&other, 0).unwrap();
+    assert_ne!(other_alphabet.num_symbols(), alphabet.num_symbols());
+    let foreign = Inventory::parse_init(&other, &other_alphabet, "∅* [R]* ∅*").unwrap();
+    let mut m = ShardedMonitor::new(&schema, &alphabet, &inv, PatternKind::All, 1);
+    match m.redefine(&foreign, ResiduePolicy::Quarantine) {
+        Err(EnforceError::Redefine(msg)) => assert!(msg.contains("alphabet"), "got: {msg}"),
+        other => panic!("expected an alphabet-mismatch refusal, got {other:?}"),
     }
+    assert_eq!(m.epoch(), 0);
 }
