@@ -70,7 +70,11 @@ fn main() {
         // in O(snapshot + tail) no matter how long the run was, while
         // "recovery by replay" pays for every letter ever admitted.
         persist_row(
-            &[(10_000, 16_384, 512), (100_000, 32_768, 512), (1_000_000, 131_072, 512)],
+            &[
+                (10_000, 16_384, 512, 128),
+                (100_000, 32_768, 512, 256),
+                (1_000_000, 131_072, 512, 1_024),
+            ],
             &[(4_096, 16_384, 4)],
             &[(250_000, 16_384, 4)],
             &[(4_096, 65_536)],
@@ -93,7 +97,7 @@ fn main() {
         sat_heavy_rows(&[(2_000, 400, 50)]);
         batch_admit_rows(&[(2_000, 256)]);
         redefine_latency_rows(&[(2_000, 16)]);
-        recover_rows(&[(2_000, 200, 64)]);
+        recover_rows(&[(2_000, 256, 64, 2)]);
         ingress_rows(&[(512, 2_048, 4)]);
         repl_rows(&[(512, 2_048, 4)]);
         serve_rows(&[(256, 2_048)], &[1, 4]);
@@ -604,7 +608,7 @@ fn redefine_latency_rows(configs: &[(usize, usize)]) -> String {
 /// `ingress` (queued vs direct admission) and `serve` (admission over
 /// TCP vs in-process ingress) comparisons.
 fn persist_row(
-    recover_cfgs: &[(usize, usize, usize)],
+    recover_cfgs: &[(usize, usize, usize, usize)],
     ingress_cfgs: &[(usize, usize, usize)],
     repl_cfgs: &[(usize, usize, usize)],
     serve_cfgs: &[(usize, usize)],
@@ -631,37 +635,40 @@ fn persist_row(
 
 /// `recover`: bulk-load n objects into a file-WAL-backed monitor, take
 /// a **background** base checkpoint (the admission thread pays only the
-/// state capture + log rotation), run `history` toggle letters, take a
-/// **background incremental** checkpoint (O(dirty) capture), run `tail`
-/// more letters, "crash", then time `Wal::load` + `ShardedMonitor::recover`
-/// (folding the checkpoint chain and replaying only the tail) against
-/// re-running the entire transaction history through a fresh monitor.
-/// Recovered state must be byte-identical (canonical snapshot encoding)
-/// to the crashed monitor's. The headline durability number is
-/// `checkpoint_stall_ms`: the time the admission path is blocked to
-/// produce the steady-state (incremental) checkpoint that gates WAL
-/// truncation — formerly the full-snapshot encode pause.
-/// `(objects, history, tail)` per config; returns the `recover` JSON
-/// fragment.
-fn recover_rows(configs: &[(usize, usize, usize)]) -> String {
+/// state capture + log rotation), run `history` toggle letters with a
+/// **background incremental** checkpoint (O(dirty) capture) after every
+/// `every` of them, run `tail` more letters, "crash", then time
+/// `Wal::load` + `ShardedMonitor::recover` (folding the whole checkpoint
+/// chain and replaying only the tail) against re-running the entire
+/// transaction history through a fresh monitor. Recovered state must be
+/// byte-identical (canonical snapshot encoding) to the crashed
+/// monitor's. The headline durability number is `checkpoint_stall_ms`:
+/// the longest time the admission path was blocked to produce one of
+/// the steady-state (incremental) checkpoints that gate WAL truncation —
+/// formerly the full-snapshot encode pause.
+/// `(objects, history, tail, every)` per config; returns the `recover`
+/// JSON fragment.
+fn recover_rows(configs: &[(usize, usize, usize, usize)]) -> String {
     use migratory_core::enforce::{CheckpointData, Snapshotter, Wal};
     use std::sync::{Arc, Mutex};
 
     println!("== perf-recover: checkpoint chain + wal tail vs full history replay ==");
     println!(
-        "{:>10} {:>10} {:>12} {:>12} {:>12} {:>12} {:>12} {:>12} {:>9}",
+        "{:>10} {:>10} {:>12} {:>12} {:>12} {:>12} {:>7} {:>12} {:>12} {:>12} {:>9}",
         "objects",
         "letters",
         "snap MB",
         "encode ms",
         "ckpt stall",
         "seal ms",
+        "chain",
+        "load ms",
         "recover ms",
         "replay ms",
         "speedup"
     );
     let mut rows = Vec::new();
-    for &(n, history, tail) in configs {
+    for &(n, history, tail, every) in configs {
         let (schema, alphabet, _) = university();
         let inv =
             Inventory::parse_init(&schema, &alphabet, "∅* ([PERSON] ∪ [STUDENT])* ∅*").unwrap();
@@ -695,26 +702,36 @@ fn recover_rows(configs: &[(usize, usize, usize)]) -> String {
             .begin_checkpoint(CheckpointData::Full(snap))
             .expect("stage base checkpoint");
         snapshotter.submit(job).expect("snapshotter accepts");
+        // The steady-state checkpoints that gate WAL truncation: each an
+        // O(dirty) capture + a log rotation on the admission path,
+        // encode/fsync/prune on the snapshotter thread. The longest
+        // admission-path stall of the chain is reported.
+        let (mut stall_ms, mut capture_ms, mut seal_ms, mut dirty) = (0.0, 0.0, 0.0, 0);
+        let mut chain_len = 0usize;
         for i in 0..history {
             let (name, args) = toggle_step(i, n);
             live.try_apply(ts.get(name).unwrap(), &args).expect("toggle conforms");
+            if (i + 1) % every != 0 {
+                continue;
+            }
+            let t0 = Instant::now();
+            let delta = live.checkpoint_delta();
+            let delta_dirty = delta.num_dirty_objects();
+            let capture = t0.elapsed().as_secs_f64() * 1e3;
+            let t0 = Instant::now();
+            let job = wal
+                .lock()
+                .unwrap()
+                .begin_checkpoint(CheckpointData::Incremental(delta))
+                .expect("stage incremental checkpoint");
+            let seal = t0.elapsed().as_secs_f64() * 1e3;
+            if capture + seal > stall_ms {
+                (stall_ms, capture_ms, seal_ms, dirty) =
+                    (capture + seal, capture, seal, delta_dirty);
+            }
+            snapshotter.submit(job).expect("snapshotter accepts");
+            chain_len += 1;
         }
-        // The steady-state checkpoint that gates WAL truncation: an
-        // O(dirty) capture + a log rotation on the admission path,
-        // encode/fsync/prune on the snapshotter thread.
-        let t0 = Instant::now();
-        let delta = live.checkpoint_delta();
-        let dirty = delta.num_dirty_objects();
-        let capture_ms = t0.elapsed().as_secs_f64() * 1e3;
-        let t0 = Instant::now();
-        let job = wal
-            .lock()
-            .unwrap()
-            .begin_checkpoint(CheckpointData::Incremental(delta))
-            .expect("stage incremental checkpoint");
-        let seal_ms = t0.elapsed().as_secs_f64() * 1e3;
-        let stall_ms = capture_ms + seal_ms;
-        snapshotter.submit(job).expect("snapshotter accepts");
         for i in history..history + tail {
             let (name, args) = toggle_step(i, n);
             live.try_apply(ts.get(name).unwrap(), &args).expect("toggle conforms");
@@ -726,6 +743,7 @@ fn recover_rows(configs: &[(usize, usize, usize)]) -> String {
         // Recover: fold the checkpoint chain, replay only the WAL tail.
         let t0 = Instant::now();
         let (snap, blocks) = Wal::load(&dir).expect("load wal directory");
+        let load_ms = t0.elapsed().as_secs_f64() * 1e3;
         let recovered =
             ShardedMonitor::recover(&schema, &alphabet, &inv, PatternKind::All, 1, snap, blocks)
                 .expect("recovery succeeds");
@@ -752,7 +770,7 @@ fn recover_rows(configs: &[(usize, usize, usize)]) -> String {
         let speedup = replay_ms / recover_ms;
         let mb = snap_bytes as f64 / (1024.0 * 1024.0);
         println!(
-            "{n:>10} {letters:>10} {mb:>12.2} {encode_ms:>12.2} {stall_ms:>12.2} {seal_ms:>12.3} {recover_ms:>12.2} {replay_ms:>12.2} {speedup:>8.1}×"
+            "{n:>10} {letters:>10} {mb:>12.2} {encode_ms:>12.2} {stall_ms:>12.2} {seal_ms:>12.3} {chain_len:>7} {load_ms:>12.2} {recover_ms:>12.2} {replay_ms:>12.2} {speedup:>8.1}×"
         );
         rows.push(format!(
             r#"      {{
@@ -765,6 +783,8 @@ fn recover_rows(configs: &[(usize, usize, usize)]) -> String {
         "checkpoint_capture_ms": {capture_ms:.2},
         "checkpoint_seal_ms": {seal_ms:.3},
         "checkpoint_dirty_objects": {dirty},
+        "chain_len": {chain_len},
+        "load_ms": {load_ms:.2},
         "recover_ms": {recover_ms:.2},
         "full_replay_ms": {replay_ms:.2},
         "speedup_vs_replay": {speedup:.1},
@@ -775,7 +795,7 @@ fn recover_rows(configs: &[(usize, usize, usize)]) -> String {
     println!();
     format!(
         r#"  "recover": {{
-    "workload": "bulk-load n persons into a file-WAL monitor, background base checkpoint, toggle history, background O(dirty) incremental checkpoint (checkpoint_stall_ms = admission-path blockage = capture_ms, the O(dirty) state clone, + seal_ms, the begin_checkpoint log rotation, amortized by the pre-created spare segment; encode/fsync run on the Snapshotter thread), toggle a tail, crash; Wal::load + ShardedMonitor::recover (fold chain, replay tail) vs re-running every transaction through a fresh monitor; both must reproduce the crashed state byte-identically",
+    "workload": "bulk-load n persons into a file-WAL monitor, background base checkpoint, toggle history with a background O(dirty) incremental checkpoint every k toggles (chain_len increments; checkpoint_stall_ms = the chain's longest admission-path blockage = capture_ms, the O(dirty) state clone, + seal_ms, the begin_checkpoint log rotation, amortized by the pre-created spare segment; encode/fsync run on the Snapshotter thread), toggle a tail, crash; Wal::load (load_ms, folds the chain) + ShardedMonitor::recover (replays the tail) = recover_ms vs re-running every transaction through a fresh monitor; both must reproduce the crashed state byte-identically",
     "sizes": [
 {}
     ]

@@ -48,8 +48,15 @@
 //!   only the objects and records dirtied since the previous
 //!   checkpoint, plus each shard's (small) cohort tables and clock.
 //!   Each increment is a consistent point-in-time capture; folding
-//!   base + increments with [`Snapshot::apply`] reproduces the full
+//!   base + increments with [`Snapshot::apply_all`] reproduces the full
 //!   state byte-identically.
+//!
+//! Folding a chain costs O(chain bytes + n log n) for n objects, however
+//! long the chain: each increment's records are checked against its own
+//! cohort table, and the retained ones are re-scanned only when a table
+//! shrank; the chain's object states merge into one pending map that
+//! the heap takes in a single [`Instance::merge_objects`], which builds
+//! the class and value indexes once.
 //!
 //! Capturing an increment ([`ShardedMonitor::checkpoint_delta`]) costs
 //! O(dirty), not O(db) —
@@ -742,73 +749,119 @@ impl Snapshot {
         Ok(Snapshot { policy, certified, certified_at, evolution, db, shards })
     }
 
-    /// Fold one incremental checkpoint into this snapshot: replace the
-    /// dirtied objects and records, each shard's cohort tables and
-    /// clock, and the monitor flags. The increment is a consistent
-    /// capture taken *after* this snapshot's instant, so folding
-    /// base + increments in order reproduces the live state
-    /// byte-identically.
+    /// Fold one incremental checkpoint into this snapshot — a
+    /// one-element [`Snapshot::apply_all`].
     pub fn apply(&mut self, d: CheckpointDelta) -> Result<(), WalError> {
-        if d.shards.len() != self.shards.len() {
-            return Err(WalError::Mismatch(format!(
-                "increment has {} shards, snapshot has {}",
-                d.shards.len(),
-                self.shards.len()
-            )));
-        }
-        for (s, sd) in self.shards.iter_mut().zip(d.shards) {
-            if sd.steps < s.steps {
+        self.apply_all([Ok(d)])
+    }
+
+    /// Fold a chain of incremental checkpoints into this snapshot, in
+    /// order: each replaces the dirtied objects and records, each
+    /// shard's cohort tables and clock, and the monitor flags. Every
+    /// increment is a consistent capture taken *after* the previous
+    /// one, so folding base + increments reproduces the live state
+    /// byte-identically.
+    ///
+    /// Items are decoded increments, or the error met decoding one, so a
+    /// caller can stream the chain from disk; the fold stops at the
+    /// first error and the snapshot, then partly folded, must be
+    /// discarded. Cost: O(chain bytes + n log n) for n objects. Shard
+    /// state folds per increment, checking only the incoming records
+    /// against the new cohort table — retained ones stay in range unless
+    /// the table shrank, and only then are they re-scanned. Object
+    /// states merge into one pending map (a later increment wins), and
+    /// the heap takes them in one [`Instance::merge_objects`] at the end,
+    /// which rebuilds the indexes once when the chain dirtied at least
+    /// as many objects as the heap holds.
+    pub fn apply_all(
+        &mut self,
+        increments: impl IntoIterator<Item = Result<CheckpointDelta, WalError>>,
+    ) -> Result<(), WalError> {
+        let mut objects: BTreeMap<Oid, Option<(ClassSet, Tuple)>> = BTreeMap::new();
+        let mut next_oid = None;
+        for d in increments {
+            let d = d?;
+            if d.shards.len() != self.shards.len() {
                 return Err(WalError::Mismatch(format!(
-                    "stale increment: shard clock {} behind snapshot clock {}",
-                    sd.steps, s.steps
+                    "increment has {} shards, snapshot has {}",
+                    d.shards.len(),
+                    self.shards.len()
                 )));
             }
-            s.steps = sd.steps;
-            s.pre_state = sd.pre_state;
-            s.pre_exempt = sd.pre_exempt;
-            s.cohorts = sd.cohorts;
-            s.by_key = sd.by_key;
-            s.free = sd.free;
-            if sd.full {
-                s.records = sd.records;
-            } else {
-                for (o, rec) in sd.records {
-                    s.records.insert(o, rec);
-                }
+            for (s, sd) in self.shards.iter_mut().zip(d.shards) {
+                fold_shard(s, sd)?;
             }
-            for rec in s.records.values() {
-                if (rec.cohort as usize) >= s.cohorts.len() {
-                    return Err(WalError::Corrupt("record points at missing cohort".into()));
-                }
+            fold_into(&mut objects, d.objects);
+            next_oid = Some(d.next_oid);
+            self.policy = d.policy;
+            self.certified = d.certified;
+            self.certified_at = d.certified_at;
+            if d.evolution.epoch < self.evolution.epoch {
+                return Err(WalError::Mismatch(format!(
+                    "stale increment: epoch {} behind snapshot epoch {}",
+                    d.evolution.epoch, self.evolution.epoch
+                )));
             }
-        }
-        for (o, state) in d.objects {
-            match state {
-                Some((classes, tuple)) => self.db.put_object(o, classes, tuple),
-                None => {
-                    if self.db.occurs(o) {
-                        self.db.delete_object(o);
-                    }
-                }
+            // Pre-evolution (v1) increments carry no inventory; they can
+            // only come from epoch-0 history, so keeping the base's
+            // evolution state is exact.
+            if d.evolution.inventory.is_some() || d.evolution != Evolution::default() {
+                self.evolution = d.evolution;
             }
         }
-        self.db.set_next(d.next_oid);
-        self.policy = d.policy;
-        self.certified = d.certified;
-        self.certified_at = d.certified_at;
-        if d.evolution.epoch < self.evolution.epoch {
-            return Err(WalError::Mismatch(format!(
-                "stale increment: epoch {} behind snapshot epoch {}",
-                d.evolution.epoch, self.evolution.epoch
-            )));
-        }
-        // Pre-evolution (v1) increments carry no inventory; they can
-        // only come from epoch-0 history, so keeping the base's
-        // evolution state is exact.
-        if d.evolution.inventory.is_some() || d.evolution != Evolution::default() {
-            self.evolution = d.evolution;
+        if let Some(next) = next_oid {
+            self.db.merge_objects(objects, next);
         }
         Ok(())
+    }
+}
+
+/// Fold one shard's share of an increment into its tracking state.
+/// Records are checked against the increment's cohort table: the
+/// incoming ones always, the retained ones only when a non-`full`
+/// increment shrank the table (compaction, the one thing that shortens
+/// it, writes a `full` increment) — as strong as re-checking every
+/// record per increment, at O(incoming) cost.
+fn fold_shard(s: &mut DeltaState, sd: ShardDelta) -> Result<(), WalError> {
+    if sd.steps < s.steps {
+        return Err(WalError::Mismatch(format!(
+            "stale increment: shard clock {} behind snapshot clock {}",
+            sd.steps, s.steps
+        )));
+    }
+    let table = sd.cohorts.len();
+    let stranded =
+        |records: &BTreeMap<Oid, ObjRecord>| records.values().any(|r| r.cohort as usize >= table);
+    let shrank = !sd.full && table < s.cohorts.len();
+    if stranded(&sd.records) {
+        return Err(WalError::Corrupt("record points at missing cohort".into()));
+    }
+    s.steps = sd.steps;
+    s.pre_state = sd.pre_state;
+    s.pre_exempt = sd.pre_exempt;
+    s.cohorts = sd.cohorts;
+    s.by_key = sd.by_key;
+    s.free = sd.free;
+    if sd.full {
+        s.records = sd.records;
+    } else {
+        fold_into(&mut s.records, sd.records);
+    }
+    if shrank && stranded(&s.records) {
+        return Err(WalError::Corrupt("record points at missing cohort".into()));
+    }
+    Ok(())
+}
+
+/// Merge `later` into `map`, `later` winning on equal keys: one
+/// O(n + m) bulk append when `later` is at least an eighth of `map`,
+/// m point inserts otherwise — so folding a chain of maps costs
+/// O(total log n), never O(chain length · n).
+fn fold_into<K: Ord, V>(map: &mut BTreeMap<K, V>, mut later: BTreeMap<K, V>) {
+    if later.len() * 8 >= map.len() {
+        map.append(&mut later);
+    } else {
+        map.extend(later);
     }
 }
 
@@ -865,7 +918,7 @@ pub(crate) struct ShardDelta {
 /// objects, changed tracking records, and each shard's (small) cohort
 /// tables and letter clock. Produced by
 /// [`ShardedMonitor::checkpoint_delta`](super::ShardedMonitor::checkpoint_delta)
-/// in O(dirty); folded back with [`Snapshot::apply`].
+/// in O(dirty); folded back with [`Snapshot::apply_all`].
 pub struct CheckpointDelta {
     pub(crate) policy: StepPolicy,
     pub(crate) certified: bool,
@@ -952,9 +1005,15 @@ impl CheckpointDelta {
         let evolution = if v2 { Evolution::decode(&mut r)? } else { Evolution::default() };
         let next_oid = r.u64()?;
         let n = r.count()?;
-        let mut objects = BTreeMap::new();
+        let mut objects = Vec::with_capacity(n);
         for _ in 0..n {
             let o = Oid(r.u64()?);
+            // Canonical encodings are strictly ascending; requiring it
+            // rules out a duplicate oid silently winning, and lets the map
+            // bulk-build below.
+            if objects.last().is_some_and(|&(p, _)| o <= p) {
+                return Err(WalError::Corrupt("increment objects out of oid order".into()));
+            }
             let state = match r.byte()? {
                 0 => None,
                 1 => {
@@ -962,11 +1021,19 @@ impl CheckpointDelta {
                     if classes.is_empty() {
                         return Err(WalError::Corrupt("object without classes".into()));
                     }
+                    // The fold sets the counter once, at the chain's end;
+                    // this keeps each increment's own objects below its
+                    // counter, as the instant it captured had them.
+                    if o.0 >= next_oid {
+                        return Err(WalError::Corrupt(format!(
+                            "increment object {o} is not below the next counter o{next_oid}"
+                        )));
+                    }
                     Some((classes, r.tuple()?))
                 }
                 t => return Err(WalError::Corrupt(format!("unknown object tag {t}"))),
             };
-            objects.insert(o, state);
+            objects.push((o, state));
         }
         let n = r.count()?;
         let mut shards = Vec::with_capacity(n);
@@ -1004,7 +1071,7 @@ impl CheckpointDelta {
             certified_at,
             evolution,
             next_oid,
-            objects,
+            objects: objects.into_iter().collect(),
             shards,
         })
     }
@@ -1120,15 +1187,10 @@ fn u32_of(v: u64, what: &str) -> Result<u32, WalError> {
     u32::try_from(v).map_err(|_| WalError::Corrupt(format!("{what} out of range")))
 }
 
-/// Read a length-prefixed byte blob (the length is bounds-checked
-/// against the remaining input by [`Reader::count`]).
+/// Read a length-prefixed byte blob, copied as one bounds-checked
+/// slice ([`Reader::bytes`]).
 fn read_blob(r: &mut Reader<'_>) -> Result<Vec<u8>, WalError> {
-    let len = r.count()?;
-    let mut out = Vec::with_capacity(len);
-    for _ in 0..len {
-        out.push(r.byte()?);
-    }
-    Ok(out)
+    Ok(r.bytes()?.to_vec())
 }
 
 fn usize_of(v: u64, what: &str) -> Result<usize, WalError> {
@@ -1830,33 +1892,15 @@ impl Wal {
         // Fold the chain by recorded parent links: sequence numbers may
         // have holes (a crashed job's sealed segment keeps its number,
         // and its records replay below), but each increment must chain
-        // onto exactly the previously folded checkpoint.
-        let mut chained = base_seq;
-        for &s in &delta_seqs {
-            if s <= base_seq {
-                continue; // stale increment from before the current base
-            }
-            let Some(base) = snap.as_mut() else {
-                return Err(WalError::Corrupt(format!("increment {s} without a base snapshot")));
-            };
-            let bytes = std::fs::read(dir.join(delta_name(s)))?;
-            let (seq, body) = unframe_checkpoint(&bytes, "checkpoint delta")?;
-            if seq != s {
-                return Err(WalError::Corrupt(format!(
-                    "increment file {s} carries sequence {seq}"
-                )));
-            }
-            let mut r = Reader::new(body);
-            let parent = r.u64()?;
-            let delta_bytes = &body[body.len() - r.remaining()..];
-            if parent != chained {
-                return Err(WalError::Corrupt(format!(
-                    "checkpoint chain broken: increment {s} chains onto {parent}, \
-                     last folded checkpoint is {chained}"
-                )));
-            }
-            base.apply(CheckpointDelta::decode(delta_bytes)?)?;
-            chained = s;
+        // onto exactly the previously folded checkpoint. Increments at or
+        // below the base are stale leftovers from before it. The files
+        // stream into the fold one at a time.
+        let chain: Vec<u64> = delta_seqs.into_iter().filter(|&s| s > base_seq).collect();
+        if let Some(base) = snap.as_mut() {
+            let parents = std::iter::once(base_seq).chain(chain.iter().copied());
+            base.apply_all(chain.iter().zip(parents).map(|(&s, p)| read_increment(dir, s, p)))?;
+        } else if let Some(s) = chain.first() {
+            return Err(WalError::Corrupt(format!("increment {s} without a base snapshot")));
         }
         let mut records = Vec::new();
         for &s in &sealed_seqs {
@@ -1870,6 +1914,26 @@ impl Wal {
         }
         Ok((snap, records))
     }
+}
+
+/// Read and decode increment `seq` of a [`Wal`] directory, checking that
+/// its file carries that sequence number and chains onto `parent`, the
+/// last folded checkpoint.
+fn read_increment(dir: &Path, seq: u64, parent: u64) -> Result<CheckpointDelta, WalError> {
+    let bytes = std::fs::read(dir.join(delta_name(seq)))?;
+    let (got, body) = unframe_checkpoint(&bytes, "checkpoint delta")?;
+    if got != seq {
+        return Err(WalError::Corrupt(format!("increment file {seq} carries sequence {got}")));
+    }
+    let mut r = Reader::new(body);
+    let linked = r.u64()?;
+    if linked != parent {
+        return Err(WalError::Corrupt(format!(
+            "checkpoint chain broken: increment {seq} chains onto {linked}, \
+             last folded checkpoint is {parent}"
+        )));
+    }
+    CheckpointDelta::decode(&body[body.len() - r.remaining()..])
 }
 
 impl CommitSink for Wal {
@@ -1973,9 +2037,7 @@ impl MemoryWal {
     pub fn snapshot(&self) -> Result<Option<Snapshot>, WalError> {
         let Some(base) = &self.base else { return Ok(None) };
         let mut snap = Snapshot::decode(base)?;
-        for bytes in &self.deltas {
-            snap.apply(CheckpointDelta::decode(bytes)?)?;
-        }
+        snap.apply_all(self.deltas.iter().map(|bytes| CheckpointDelta::decode(bytes)))?;
         Ok(Some(snap))
     }
 }
@@ -2074,6 +2136,179 @@ mod tests {
         let idx = first_len + 10;
         bad[idx] ^= 0xff;
         assert_eq!(decode_records(&bad).unwrap().len(), 1);
+    }
+
+    fn cohort() -> Cohort {
+        Cohort { state: 0, last_role: 0, size: 0, parent: 0 }
+    }
+
+    /// A one-shard snapshot whose single record sits in cohort slot 2
+    /// of a 3-slot table, at shard clock 5.
+    fn snapshot_with_record_in_slot_2() -> Snapshot {
+        let record = ObjRecord { creation_step: 1, segments: vec![(0, 1)], cohort: 2 };
+        Snapshot {
+            policy: StepPolicy::EveryApplication,
+            certified: false,
+            certified_at: None,
+            evolution: Evolution::default(),
+            db: Instance::empty(),
+            shards: vec![DeltaState {
+                records: BTreeMap::from([(Oid(1), record)]),
+                cohorts: vec![cohort(); 3],
+                steps: 5,
+                ..DeltaState::default()
+            }],
+        }
+    }
+
+    /// An increment with no objects or records, whose one shard carries
+    /// `slots` cohort slots at clock `steps`.
+    fn bare_increment(steps: usize, slots: usize, full: bool) -> CheckpointDelta {
+        CheckpointDelta {
+            policy: StepPolicy::EveryApplication,
+            certified: false,
+            certified_at: None,
+            evolution: Evolution::default(),
+            next_oid: 2,
+            objects: BTreeMap::new(),
+            shards: vec![ShardDelta {
+                steps,
+                pre_state: 0,
+                pre_exempt: false,
+                full,
+                records: BTreeMap::new(),
+                cohorts: vec![cohort(); slots],
+                by_key: BTreeMap::new(),
+                free: Vec::new(),
+            }],
+        }
+    }
+
+    #[test]
+    fn increment_with_duplicate_oid_is_corrupt() {
+        // Hand-built: header, default evolution, next o3, a deletion
+        // tombstone and a live object, no shards.
+        let increment = |tombstone: u64, live: u64| {
+            let mut out = DELTA_MAGIC.to_vec();
+            out.push(0);
+            Evolution::default().encode(&mut out);
+            encode_u64(&mut out, 3);
+            encode_u64(&mut out, 2);
+            encode_u64(&mut out, tombstone);
+            out.push(0);
+            encode_u64(&mut out, live);
+            out.push(1);
+            encode_idset(&mut out, ClassSet::singleton(migratory_model::ClassId(0)));
+            encode_tuple(&mut out, &Tuple::default());
+            encode_u64(&mut out, 0);
+            out
+        };
+        assert_eq!(CheckpointDelta::decode(&increment(1, 2)).unwrap().num_dirty_objects(), 2);
+        // A duplicate, a descending pair, and a live object at the counter.
+        for (tombstone, live) in [(1, 1), (2, 1), (1, 3)] {
+            assert!(
+                matches!(
+                    CheckpointDelta::decode(&increment(tombstone, live)),
+                    Err(WalError::Corrupt(_))
+                ),
+                "objects o{tombstone}, o{live} must not decode"
+            );
+        }
+    }
+
+    #[test]
+    fn shrunk_cohort_table_stranding_a_retained_record_is_corrupt() {
+        // Through the streamed fold: the retained record's slot 2 is gone
+        // once a non-`full` increment cuts the table to two slots.
+        let mut wal = MemoryWal::new();
+        wal.write_snapshot(&snapshot_with_record_in_slot_2());
+        wal.write_checkpoint_delta(&bare_increment(6, 4, false));
+        assert!(wal.snapshot().is_ok(), "a grown table keeps every record in range");
+        wal.write_checkpoint_delta(&bare_increment(7, 2, false));
+        assert_eq!(
+            wal.snapshot().err(),
+            Some(WalError::Corrupt("record points at missing cohort".into()))
+        );
+        // A `full` increment replaces every record, so the same cut is fine.
+        let mut snap = snapshot_with_record_in_slot_2();
+        snap.apply(bare_increment(6, 2, true)).unwrap();
+        assert!(snap.shards[0].records.is_empty());
+    }
+
+    #[test]
+    fn stale_clock_increment_is_a_mismatch() {
+        let mut snap = snapshot_with_record_in_slot_2();
+        assert!(matches!(snap.apply(bare_increment(4, 3, false)), Err(WalError::Mismatch(_))));
+        let mut snap = snapshot_with_record_in_slot_2();
+        let chain = [bare_increment(6, 3, false), bare_increment(5, 3, false)];
+        assert!(matches!(snap.apply_all(chain.map(Ok)), Err(WalError::Mismatch(_))));
+    }
+
+    #[test]
+    fn per_increment_apply_matches_wal_load() {
+        use crate::enforce::ShardedMonitor;
+        use crate::{Inventory, PatternKind, RoleAlphabet};
+        use migratory_lang::{parse_transactions, Assignment};
+        use migratory_model::Value;
+        use std::sync::Mutex;
+
+        let s = migratory_model::schema::university_schema();
+        let a = RoleAlphabet::new(&s, 0).unwrap();
+        let inv = Inventory::parse_init(&s, &a, "∅* ([PERSON] ∪ [STUDENT])* ∅*").unwrap();
+        let ts = parse_transactions(
+            &s,
+            r#"
+            transaction Mk(x) { create(PERSON, { SSN = x, Name = "n" }); }
+            transaction St(x) {
+              specialize(PERSON, STUDENT, { SSN = x }, { Major = "CS", FirstEnroll = 1 });
+            }
+            transaction UnSt(x) { generalize(STUDENT, { SSN = x }); }
+            transaction Rm(x) { delete(PERSON, { SSN = x }); }
+        "#,
+        )
+        .unwrap();
+        let dir = std::env::temp_dir().join(format!("migratory-wal-fold-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let wal = Arc::new(Mutex::new(Wal::open(&dir).unwrap()));
+        let mut m = ShardedMonitor::new(&s, &a, &inv, PatternKind::All, 1).with_sink(wal.clone());
+        let checkpoint = |data| wal.lock().unwrap().begin_checkpoint(data).unwrap().run().unwrap();
+        checkpoint(CheckpointData::Full(m.checkpoint_full()));
+        let key = |k: usize| Assignment::new(vec![Value::str(&k.to_string())]);
+        // Twelve increments: the first creates 40 objects on an empty
+        // base (one bulk rebuild), later ones touch a few each, delete
+        // some and create more (per-object re-indexing under `apply`).
+        for round in 0..12 {
+            for k in round * 40..round * 40 + if round == 0 { 40 } else { 4 } {
+                m.try_apply(ts.get("Mk").unwrap(), &key(k)).unwrap();
+            }
+            let t = ["St", "UnSt", "Rm"][round % 3];
+            for k in (round % 3..40).step_by(9) {
+                let _ = m.try_apply(ts.get(t).unwrap(), &key(k));
+            }
+            checkpoint(CheckpointData::Incremental(m.checkpoint_delta()));
+        }
+        let loaded = Wal::load(&dir).unwrap().0.unwrap();
+        // Fold the same files one `apply` per increment.
+        let base = std::fs::read(dir.join(BASE_FILE)).unwrap();
+        let (base_seq, body) = unframe_checkpoint(&base, "snapshot").unwrap();
+        let mut one_by_one = Snapshot::decode(body).unwrap();
+        let mut seqs: Vec<u64> = std::fs::read_dir(&dir)
+            .unwrap()
+            .filter_map(|e| seq_of(e.unwrap().file_name().to_str()?, "delta-", ".bin"))
+            .filter(|&seq| seq > base_seq)
+            .collect();
+        seqs.sort_unstable();
+        assert_eq!(seqs.len(), 12);
+        let mut parent = base_seq;
+        for seq in seqs {
+            one_by_one.apply(read_increment(&dir, seq, parent).unwrap()).unwrap();
+            parent = seq;
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+        assert_eq!(one_by_one.encode(), loaded.encode());
+        assert_eq!(loaded.encode(), m.snapshot().encode());
+        loaded.db().check_invariants(&s).unwrap();
+        one_by_one.db().check_invariants(&s).unwrap();
     }
 
     #[test]

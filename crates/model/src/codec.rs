@@ -182,12 +182,19 @@ impl<'a> Reader<'a> {
         Ok(n as usize)
     }
 
-    /// Read a length-prefixed UTF-8 string.
-    pub fn str(&mut self) -> Result<&'a str, ModelError> {
+    /// Read a length-prefixed byte blob as one borrowed slice (the
+    /// length is bounds-checked against the remaining input).
+    pub fn bytes(&mut self) -> Result<&'a [u8], ModelError> {
         let len = self.count()?;
         let end = self.pos + len;
-        let raw = self.bytes.get(self.pos..end).ok_or_else(|| Self::corrupt("string length"))?;
+        let raw = self.bytes.get(self.pos..end).ok_or_else(|| Self::corrupt("blob length"))?;
         self.pos = end;
+        Ok(raw)
+    }
+
+    /// Read a length-prefixed UTF-8 string.
+    pub fn str(&mut self) -> Result<&'a str, ModelError> {
+        let raw = self.bytes()?;
         std::str::from_utf8(raw).map_err(|_| Self::corrupt("string is not UTF-8"))
     }
 
@@ -268,9 +275,11 @@ mod tests {
         let mut out = Vec::new();
         encode_tuple(&mut out, &t);
         encode_idset(&mut out, cs);
+        encode_str(&mut out, "blob");
         let mut r = Reader::new(&out);
         assert_eq!(r.tuple().unwrap(), t);
         assert_eq!(r.idset::<ClassId>().unwrap(), cs);
+        assert_eq!(r.bytes().unwrap(), b"blob");
         assert!(r.is_exhausted());
     }
 
@@ -285,6 +294,7 @@ mod tests {
         encode_u64(&mut out, 100);
         out.push(b'x');
         assert!(Reader::new(&out).str().is_err());
+        assert!(Reader::new(&out).bytes().is_err());
         // Unknown value tag.
         assert!(Reader::new(&[9]).value().is_err());
         // Count larger than remaining input is rejected before allocation.

@@ -61,6 +61,12 @@ fn assert_recovers_single(
         "{label}: tracking state not byte-identical after recovery"
     );
     assert_eq!(recovered.db(), live.db(), "{label}: database diverged");
+    // The snapshot bytes carry the heap only: the class and value
+    // indexes the chain fold rebuilt are checked here.
+    recovered
+        .db()
+        .check_invariants(live.schema())
+        .unwrap_or_else(|e| panic!("{label}: recovered indexes: {e}"));
     assert_eq!(recovered.clock(0), live.clock(0), "{label}: letter counts diverged");
     for oid in 1..=live.db().next_oid().0 {
         assert_eq!(
@@ -225,6 +231,7 @@ fn sharded_batched_recovery_is_byte_identical() {
                 "case {case} block {block_no}: shard states not byte-identical"
             );
             assert_eq!(recovered.db(), live.db());
+            recovered.db().check_invariants(&schema).unwrap();
             assert_eq!(recovered.clocks(), live.clocks());
             for oid in 1..=live.db().next_oid().0 {
                 assert_eq!(recovered.pattern_of(Oid(oid)), live.pattern_of(Oid(oid)));
@@ -827,6 +834,7 @@ fn incremental_checkpoints_survive_cohort_compaction() {
             live.snapshot().encode(),
             "chain across compaction not byte-identical under {kind}"
         );
+        recovered.db().check_invariants(&schema).unwrap();
     }
 }
 
@@ -1070,10 +1078,16 @@ fn bulk_load_recovery_is_byte_identical() {
         use migratory::model::{Atom, Condition};
         let person = schema.class_id("PERSON").unwrap();
         let ssn = schema.attr_id("SSN").unwrap();
+        let name = schema.attr_id("Name").unwrap();
+        // Every attribute of PERSON is set, so the database passes
+        // `check_invariants` (Definition 2.2 wants `a` total).
         let updates: Vec<AtomicUpdate> = (0..4200)
             .map(|i| AtomicUpdate::Create {
                 class: person,
-                gamma: Condition::from_atoms([Atom::eq_const(ssn, format!("b{i}"))]),
+                gamma: Condition::from_atoms([
+                    Atom::eq_const(ssn, format!("b{i}")),
+                    Atom::eq_const(name, "n"),
+                ]),
             })
             .collect();
         Transaction::sl("BulkLoad", &[], updates)
@@ -1108,6 +1122,7 @@ fn bulk_load_recovery_is_byte_identical() {
             "{kind:?}/{shards} shards: bulk load not byte-identical after replay"
         );
         assert_eq!(r.db(), live.db(), "{kind:?}/{shards} shards: database diverged");
+        r.db().check_invariants(&schema).unwrap();
     }
 }
 
@@ -1151,6 +1166,12 @@ fn assert_recovers_single_from_base(
         "{label}: tracking state not byte-identical after recovery"
     );
     assert_eq!(recovered.db(), live.db(), "{label}: database diverged");
+    // The snapshot bytes carry the heap only: the class and value
+    // indexes the chain fold rebuilt are checked here.
+    recovered
+        .db()
+        .check_invariants(live.schema())
+        .unwrap_or_else(|e| panic!("{label}: recovered indexes: {e}"));
     assert_eq!(recovered.clock(0), live.clock(0), "{label}: letter counts diverged");
     assert_eq!(recovered.epoch(), live.epoch(), "{label}: epoch diverged");
     assert_eq!(recovered.redefine_total(), live.redefine_total(), "{label}");
@@ -1353,6 +1374,7 @@ fn sharded_redefined_recovery_is_byte_identical() {
                 "case {case} block {block_no}: shard states not byte-identical"
             );
             assert_eq!(recovered.db(), live.db());
+            recovered.db().check_invariants(&schema).unwrap();
             assert_eq!(recovered.clocks(), live.clocks());
             assert_eq!(recovered.epoch(), live.epoch());
             assert_eq!(recovered.quarantined_total(), live.quarantined_total());
