@@ -18,12 +18,13 @@
 //! file; `smoke` runs tiny versions of all of them (the CI bench-smoke
 //! entry point).
 
+use migratory_automata::{Dfa, Nfa, Regex};
 use migratory_bench::*;
 use migratory_chomsky::turing::machines;
 use migratory_core::tm_compile::{compile_tm, drive_word, standard_tm_schema, TmSpec};
 use migratory_core::{
-    analyze_families, decide_with_families, explore, AnalyzeOptions, ExploreConfig, Inventory,
-    PatternKind, ShardedMonitor,
+    analyze, analyze_families, decide_with_families, explore, synthesize, AnalyzeOptions,
+    ExploreConfig, Inventory, PatternKind, ShardedMonitor,
 };
 use migratory_lang::Assignment;
 use migratory_model::Instance;
@@ -1677,7 +1678,65 @@ fn thm3_2() {
             start.elapsed(),
         );
     }
+    // Canonical restricted-growth assignments vs the full value product
+    // (DESIGN.md §6.2): identical graphs and families, more ground runs.
+    // Restricted growth only bites with multi-parameter transactions,
+    // so the workload adds two- and three-parameter modifies.
+    let multi = migratory_lang::parse_transactions(
+        &schema,
+        r#"
+        transaction Mk(x) { create(P, { Id = x }); }
+        transaction Mv(x, y) { modify(P, { Id = x }, { Id = y }); }
+        transaction Mv3(x, y, z) {
+          modify(P, { Id = x }, { Id = y });
+          modify(P, { Id = z }, { Id = x });
+        }
+        transaction Up(x) { specialize(P, S, { Id = x }, {}); }
+        transaction Rm(x) { delete(P, { Id = x }); }
+    "#,
+    )
+    .expect("ablation workload validates");
+    println!("-- ablation (multi-parameter chain): canonical vs naive-product assignments --");
+    for (mode, opts) in [
+        ("canonical", AnalyzeOptions::default()),
+        ("naive-product", AnalyzeOptions { naive_assignments: true, ..Default::default() }),
+    ] {
+        let start = Instant::now();
+        let analysis = analyze(&schema, &alphabet, &multi, &opts).unwrap();
+        println!(
+            "{mode:>14}: {:>5} vertices {:>6} edges {:>9} runs  {:>8.2?}",
+            analysis.stats.vertices,
+            analysis.stats.edges,
+            analysis.stats.runs,
+            start.elapsed(),
+        );
+    }
+    println!("-- thm3.2(2) / ex3.6-7: synthesis of Σ_η vs chain length k --");
+    println!("{:>6} {:>16}", "k", "synthesize (µs)");
+    for k in 1usize..=4 {
+        let (schema, alphabet) = synthesis_host(k.max(2));
+        let eta = chain_regex(&schema, &alphabet, k);
+        let us = mean_us(10, || synthesize(&schema, &alphabet, &eta).unwrap());
+        println!("{k:>6} {us:>16.1}");
+    }
+    let (schema, alphabet) = synthesis_host(2);
+    let eta = chain_regex(&schema, &alphabet, 2);
+    let us = mean_us(3, || {
+        let synth = synthesize(&schema, &alphabet, &eta).unwrap();
+        analyze_families(&schema, &alphabet, &synth.transactions, &AnalyzeOptions::default())
+            .unwrap()
+    });
+    println!("round trip (synthesize, then analyze back), k=2: {us:.1} µs");
     println!();
+}
+
+/// Mean wall time of `f` over `iters` runs, in microseconds.
+fn mean_us<T>(iters: usize, mut f: impl FnMut() -> T) -> f64 {
+    let start = Instant::now();
+    for _ in 0..iters {
+        std::hint::black_box(f());
+    }
+    start.elapsed().as_secs_f64() * 1e6 / iters as f64
 }
 
 fn cor3_3_baseline() {
@@ -1709,7 +1768,59 @@ fn cor3_3_baseline() {
             sets.all.len()
         );
     }
+    // Inclusion-check route (DESIGN.md §6.3). Both routes start from the
+    // analyzed migration graph; the heavy route determinizes and
+    // minimizes the family before a product check, the on-the-fly route
+    // explores the NFA×complement product lazily. `amortized-repeat` is
+    // the heavy route's repeat-query case (DFA already built).
+    let (analysis, fams) =
+        analyze_families(&schema, &alphabet, &ts, &AnalyzeOptions::default()).unwrap();
+    let (ns, empty) = (alphabet.num_symbols(), alphabet.empty_symbol());
+    let family_nfa = || {
+        let imm = analysis.graph.walks_nfa(ns, empty, PatternKind::All);
+        let estar = Nfa::from_regex(&Regex::star(Regex::Sym(empty)), ns);
+        migratory_automata::concat(&estar, &imm).expect("same alphabet")
+    };
+    println!("-- inclusion route: family ⊆ inventory --");
+    for (route, us) in [
+        (
+            "dfa-minimized",
+            mean_us(20, || Dfa::from_nfa(&family_nfa()).minimize().witness_not_subset(inv.dfa())),
+        ),
+        (
+            "nfa-on-the-fly",
+            mean_us(20, || {
+                migratory_automata::nfa_witness_not_subset(&family_nfa(), inv.dfa()).unwrap()
+            }),
+        ),
+        ("amortized-repeat", mean_us(200, || fams.all.witness_not_subset(inv.dfa()))),
+    ] {
+        println!("{route:>22}: {us:>10.1} µs");
+    }
+    // The regular-language substrate under both routes: determinize +
+    // minimize, inclusion and state elimination as the regex deepens.
+    println!("-- automata substrate: ((0|1)(0|1)…)* nested to depth d --");
+    for depth in [2usize, 4, 6] {
+        let r = deep_regex(depth);
+        let us = mean_us(10, || Dfa::from_nfa(&Nfa::from_regex(&r, 3)).minimize());
+        println!("{:>18} d={depth}: {us:>10.1} µs", "determinize+min");
+    }
+    let a = Dfa::from_nfa(&Nfa::from_regex(&deep_regex(5), 3)).minimize();
+    let b = Dfa::from_nfa(&Nfa::from_regex(&deep_regex(6), 3)).minimize();
+    println!("{:>22}: {:>10.1} µs", "inclusion d5 ⊆ d6", mean_us(100, || a.is_subset_of(&b)));
+    let us = mean_us(10, || migratory_automata::dfa_to_regex(&a));
+    println!("{:>22}: {us:>10.1} µs", "state elimination d5");
     println!();
+}
+
+/// `((0|1)(0|1)…)*` nested with unions: the minimal DFA grows with
+/// `depth`.
+fn deep_regex(depth: usize) -> Regex {
+    let mut r = Regex::union([Regex::Sym(0), Regex::Sym(1)]);
+    for i in 0..depth {
+        r = Regex::concat([r.clone(), Regex::star(Regex::union([Regex::Sym(i as u32 % 3), r]))]);
+    }
+    r
 }
 
 fn thm4_3() {
@@ -1762,6 +1873,14 @@ fn ex4_1() {
     let compiled =
         migratory_core::compile_cfg(&schema, &alphabet, s_class, &grammar, &roles).unwrap();
     println!("GNF productions: {}", compiled.gnf.prods.len());
+    for (name, g) in [
+        ("anbn", migratory_chomsky::cfg::grammars::anbn()),
+        ("dyck", migratory_chomsky::cfg::grammars::dyck()),
+        ("palindromes", migratory_chomsky::cfg::grammars::even_palindromes()),
+    ] {
+        let us = mean_us(100, || migratory_chomsky::to_gnf(&g));
+        println!("{:>12} to GNF: {us:>10.1} µs", name);
+    }
     println!("{:>6} {:>12} {:>12}", "n", "script len", "CSL (µs)");
     for n in [1usize, 2, 4, 8] {
         let mut word = vec![0u32; n];

@@ -1,27 +1,22 @@
 //! A concurrent TCP client driver for the `migctl serve` wire protocol
 //! (`core::enforce::net`, `docs/PROTOCOL.md`).
 //!
-//! Two drivers share the reply-tally shape:
-//!
-//! * [`drive_tcp`] — two threads per connection (a writer pipelining
-//!   the whole request script, a reader tallying reply lines), the
-//!   way a small pool of pipelined network callers behaves;
-//! * [`drive_tcp_mux`] — one thread multiplexing every connection over
-//!   epoll with nonblocking sockets, mirroring the server's own event
-//!   core. This is the only way a 1024-connection sweep fits a small
-//!   machine, and it speaks both wire dialects: text `invoke`
-//!   lines ([`mux_text_scripts`]) and length-prefixed binary frames
-//!   ([`mux_binary_scripts`], `docs/PROTOCOL.md` § Binary framing).
+//! [`drive_tcp_mux`] multiplexes every connection from one thread over
+//! epoll with nonblocking sockets, mirroring the server's own event
+//! core. This is the only way a 1024-connection sweep fits a small
+//! machine, and it speaks both wire dialects: text `invoke` lines
+//! ([`mux_text_scripts`]) and length-prefixed binary frames
+//! ([`mux_binary_scripts`], `docs/PROTOCOL.md` § Binary framing).
 //!
 //! Used by the `experiments serve` connection sweep (apps/sec over TCP
 //! at 1/16/256/1024 connections, text vs binary) and the CI serve-smoke
 //! jobs.
 
 use migratory_core::enforce::net::frame;
-use std::io::{BufRead, BufReader, BufWriter, Read, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 
-/// Reply tallies of one [`drive_tcp`] run, summed over connections.
+/// Reply tallies of one [`drive_tcp_mux`] run, summed over connections.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct TcpDriveStats {
     /// Replies whose first token was `ok`.
@@ -40,86 +35,6 @@ impl TcpDriveStats {
     }
 }
 
-/// Drive one connection per script: connect, pipeline every request
-/// line, read one reply per request and tally its first token. Returns
-/// once every connection has received all its replies.
-///
-/// # Errors
-/// Fails on connect/write/read errors or a reply count short of the
-/// request count (server closed early).
-pub fn drive_tcp(
-    addr: impl ToSocketAddrs + Clone + Send + Sync,
-    scripts: &[Vec<String>],
-) -> std::io::Result<TcpDriveStats> {
-    let eof = || std::io::Error::new(std::io::ErrorKind::UnexpectedEof, "server closed early");
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = scripts
-            .iter()
-            .map(|script| {
-                let addr = addr.clone();
-                scope.spawn(move || -> std::io::Result<TcpDriveStats> {
-                    let conn = TcpStream::connect(addr)?;
-                    conn.set_nodelay(true)?;
-                    let mut writer = BufWriter::new(conn.try_clone()?);
-                    let reader = BufReader::new(conn);
-                    std::thread::scope(|inner| {
-                        inner.spawn(move || {
-                            for line in script {
-                                if writeln!(writer, "{line}").is_err() {
-                                    return;
-                                }
-                            }
-                            let _ = writer.flush();
-                        });
-                        let mut stats = TcpDriveStats::default();
-                        let mut lines = reader.lines();
-                        for _ in 0..script.len() {
-                            let reply = lines.next().ok_or_else(eof)??;
-                            match reply.split_whitespace().next() {
-                                Some("ok") => stats.ok += 1,
-                                Some("violation") => stats.violation += 1,
-                                _ => stats.error += 1,
-                            }
-                        }
-                        Ok(stats)
-                    })
-                })
-            })
-            .collect();
-        let mut total = TcpDriveStats::default();
-        for h in handles {
-            let s = h.join().expect("driver thread panicked")?;
-            total.ok += s.ok;
-            total.violation += s.violation;
-            total.error += s.error;
-        }
-        Ok(total)
-    })
-}
-
-/// Split `ops` round-robin into `connections` request scripts of
-/// `invoke Name(args…)` lines — the same striping the in-process
-/// ingress benches use for their producers.
-#[must_use]
-pub fn invoke_scripts(
-    ops: &[(&'static str, migratory_lang::Assignment)],
-    connections: usize,
-) -> Vec<Vec<String>> {
-    let fmt = |(name, args): &(&str, migratory_lang::Assignment)| {
-        let rendered: Vec<String> = args
-            .values()
-            .map(|v| match v {
-                migratory_model::Value::Int(i) => i.to_string(),
-                other => format!("\"{other}\""),
-            })
-            .collect();
-        format!("invoke {name}({})", rendered.join(", "))
-    };
-    (0..connections.max(1))
-        .map(|c| ops.iter().skip(c).step_by(connections.max(1)).map(fmt).collect())
-        .collect()
-}
-
 /// One pre-encoded request stream for [`drive_tcp_mux`]: the raw bytes
 /// to pipeline down one connection, the reply count they are owed, and
 /// the dialect the replies will arrive in.
@@ -133,21 +48,31 @@ pub struct MuxScript {
 }
 
 /// Split `ops` round-robin into `connections` text-dialect
-/// [`MuxScript`]s — [`invoke_scripts`] pre-joined for the mux driver.
+/// [`MuxScript`]s: one `invoke Name(args…)` line per op — the same
+/// striping the in-process ingress benches use for their producers.
 #[must_use]
 pub fn mux_text_scripts(
     ops: &[(&'static str, migratory_lang::Assignment)],
     connections: usize,
 ) -> Vec<MuxScript> {
-    invoke_scripts(ops, connections)
-        .into_iter()
-        .map(|lines| {
+    (0..connections.max(1))
+        .map(|c| {
             let mut bytes = Vec::new();
-            for line in &lines {
-                bytes.extend_from_slice(line.as_bytes());
-                bytes.push(b'\n');
+            let mut expected = 0usize;
+            for (name, args) in ops.iter().skip(c).step_by(connections.max(1)) {
+                let rendered: Vec<String> = args
+                    .values()
+                    .map(|v| match v {
+                        migratory_model::Value::Int(i) => i.to_string(),
+                        other => format!("\"{other}\""),
+                    })
+                    .collect();
+                bytes.extend_from_slice(
+                    format!("invoke {name}({})\n", rendered.join(", ")).as_bytes(),
+                );
+                expected += 1;
             }
-            MuxScript { bytes, expected: lines.len(), binary: false }
+            MuxScript { bytes, expected, binary: false }
         })
         .collect()
 }

@@ -104,7 +104,7 @@ use std::sync::mpsc;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-/// Tuning knobs of [`serve`].
+/// Tuning knobs of [`run`].
 #[derive(Clone, Copy, Debug)]
 pub struct IngressConfig {
     /// Per-lane queue bound; [`IngressClient::post`] blocks when its
@@ -140,7 +140,7 @@ impl Default for DurabilityPolicy {
     }
 }
 
-/// Counters reported by [`serve`] after the ingress drains.
+/// Counters reported by [`run`] after the ingress drains.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct IngressStats {
     /// Ops accepted into a lane.

@@ -10,10 +10,11 @@
 //! (fsync batch size, checkpoint stall) do not.
 //!
 //! One [`AdmissionMetrics`] is a server's single registry: the flat
-//! `stats` wire verb (test-locked, byte-stable) reads its evolution
-//! gauges, and `stats prom` returns
+//! `stats` wire verb (test-locked, byte-stable) reads its request
+//! counters and evolution gauges, `stats prom` returns
 //! [`AdmissionMetrics::render_prometheus`] as a length-prefixed
-//! payload.
+//! payload, and the wire server's returned `NetStats` is read from the
+//! same counters.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -192,6 +193,17 @@ pub struct AdmissionMetrics {
     /// Replication-stream records this replica folded into its monitor
     /// (counter; stays 0 on a primary).
     pub repl_applied_records: AtomicU64,
+    /// Wire requests parsed, every verb and frame, malformed ones
+    /// included (counter).
+    pub requests: AtomicU64,
+    /// `invoke` requests answered `ok` (counter).
+    pub admitted: AtomicU64,
+    /// `invoke` requests answered `violation` (counter).
+    pub rejected: AtomicU64,
+    /// Requests answered `error` (counter).
+    pub errors: AtomicU64,
+    /// Client connections accepted (counter).
+    pub connections: AtomicU64,
 }
 
 impl AdmissionMetrics {
@@ -214,6 +226,11 @@ impl AdmissionMetrics {
             repl_shipped_batches: AtomicU64::new(0),
             repl_live_replicas: AtomicU64::new(0),
             repl_applied_records: AtomicU64::new(0),
+            requests: AtomicU64::new(0),
+            admitted: AtomicU64::new(0),
+            rejected: AtomicU64::new(0),
+            errors: AtomicU64::new(0),
+            connections: AtomicU64::new(0),
         }
     }
 
@@ -302,6 +319,21 @@ impl AdmissionMetrics {
                 "counter",
                 "replication-stream records folded by this replica",
                 &self.repl_applied_records,
+            ),
+            ("migratory_requests_total", "counter", "wire requests parsed", &self.requests),
+            ("migratory_admitted_total", "counter", "invoke requests answered ok", &self.admitted),
+            (
+                "migratory_rejected_total",
+                "counter",
+                "invoke requests answered violation",
+                &self.rejected,
+            ),
+            ("migratory_errors_total", "counter", "requests answered error", &self.errors),
+            (
+                "migratory_connections_total",
+                "counter",
+                "client connections accepted",
+                &self.connections,
             ),
         ] {
             out.push_str(&format!("# HELP {name} {help}\n# TYPE {name} {kind}\n"));

@@ -29,10 +29,12 @@ use super::conn::{Conn, Extracted, Pending, ReadOutcome, Request, Slot};
 use super::frame;
 use super::{parse_invocation, stats_reply, ServerConfig, ServerShared, MAX_LINE};
 use crate::alphabet::RoleAlphabet;
-use crate::enforce::ingress::{Completion, IngressClient};
-use crate::enforce::{EnforceError, ResiduePolicy};
+use crate::enforce::ingress::{AdminOp, Completion, IngressClient};
+use crate::enforce::metrics::AdmissionMetrics;
+use crate::enforce::{EnforceError, ResiduePolicy, ShardedMonitor};
 use crate::Inventory;
 use migratory_lang::{Assignment, Transaction, TransactionSchema};
+use migratory_model::{ClassId, Condition, Schema, Value};
 use polling::{Epoll, EpollEvent, Waker, EPOLLIN, EPOLLOUT};
 use std::collections::HashMap;
 use std::io::Write;
@@ -56,8 +58,9 @@ pub(super) enum Reply {
     /// An `invoke` admission outcome: rendered in the slot's dialect at
     /// delivery (the violation diagnostic needs the alphabet).
     Outcome(Result<(), EnforceError>),
-    /// Pre-rendered reply bytes (admin ops — `redefine` — render on the
-    /// admission worker, where the dialect is already captured).
+    /// Pre-rendered reply bytes (admin ops — `redefine`, `query`,
+    /// `promote` — render on the admission worker, where the dialect is
+    /// already captured).
     Bytes(Vec<u8>),
 }
 
@@ -134,6 +137,9 @@ impl Inbox {
 /// connection's outcomes still count, they just have nowhere to go.
 pub(super) struct EventShared {
     pub(super) inboxes: Vec<Inbox>,
+    /// The server's one metrics registry: the request counters every
+    /// reply bumps live here, next to the histograms and gauges.
+    pub(super) metrics: Arc<AdmissionMetrics>,
     /// Set by the `shutdown` verb (or a fatal listener error): stop
     /// accepting, drain every connection, exit.
     pub(super) shutdown: AtomicBool,
@@ -143,30 +149,24 @@ pub(super) struct EventShared {
     accept_done: AtomicBool,
     /// Currently open connections (the accept-time capacity gate).
     live: AtomicUsize,
-    pub(super) connections: AtomicUsize,
-    pub(super) requests: AtomicUsize,
-    pub(super) admitted: AtomicUsize,
-    pub(super) rejected: AtomicUsize,
-    pub(super) errors: AtomicUsize,
     next_conn_id: AtomicU64,
 }
 
 impl EventShared {
-    pub(super) fn new(threads: usize) -> std::io::Result<Arc<EventShared>> {
+    pub(super) fn new(
+        threads: usize,
+        metrics: Arc<AdmissionMetrics>,
+    ) -> std::io::Result<Arc<EventShared>> {
         let mut inboxes = Vec::with_capacity(threads);
         for _ in 0..threads {
             inboxes.push(Inbox { q: Mutex::new(InboxQ::default()), waker: Waker::new()? });
         }
         Ok(Arc::new(EventShared {
             inboxes,
+            metrics,
             shutdown: AtomicBool::new(false),
             accept_done: AtomicBool::new(false),
             live: AtomicUsize::new(0),
-            connections: AtomicUsize::new(0),
-            requests: AtomicUsize::new(0),
-            admitted: AtomicUsize::new(0),
-            rejected: AtomicUsize::new(0),
-            errors: AtomicUsize::new(0),
             next_conn_id: AtomicU64::new(0),
         }))
     }
@@ -231,8 +231,8 @@ fn ok_reply(binary: bool, msg: &str) -> Vec<u8> {
 /// Count an error reply (uniformly, at slot creation) and encode it in
 /// the request's dialect: `error <msg>\n` or a [`frame::REP_ERROR`]
 /// frame carrying `<msg>`.
-fn error_reply(ev: &EventShared, binary: bool, msg: &str) -> Vec<u8> {
-    ev.errors.fetch_add(1, Ordering::SeqCst);
+fn error_reply(metrics: &AdmissionMetrics, binary: bool, msg: &str) -> Vec<u8> {
+    metrics.errors.fetch_add(1, Ordering::SeqCst);
     reply(binary, frame::REP_ERROR, "error", msg)
 }
 
@@ -265,24 +265,38 @@ fn outcome_reply(
 fn completion<'t>(ev: &Arc<EventShared>, owner: usize, conn: u64, seq: u64) -> Completion<'t> {
     let ev = Arc::clone(ev);
     Box::new(move |outcome| {
-        match &outcome {
-            Ok(()) => ev.admitted.fetch_add(1, Ordering::SeqCst),
-            Err(EnforceError::Violation(_)) => ev.rejected.fetch_add(1, Ordering::SeqCst),
-            Err(_) => ev.errors.fetch_add(1, Ordering::SeqCst),
+        let counter = match &outcome {
+            Ok(()) => &ev.metrics.admitted,
+            Err(EnforceError::Violation(_)) => &ev.metrics.rejected,
+            Err(_) => &ev.metrics.errors,
         };
+        counter.fetch_add(1, Ordering::SeqCst);
         ev.inboxes[owner].push_done(Done { conn, seq, reply: Reply::Outcome(outcome) });
     })
+}
+
+/// What one event thread's request path reads: its own index, the
+/// shared event state, the ingress behind the server, the transaction
+/// schema, the server-wide state and its config.
+struct Cx<'a, 't, 's> {
+    me: usize,
+    ev: &'a Arc<EventShared>,
+    client: &'a IngressClient<'t, 's, 'a>,
+    ts: &'t TransactionSchema,
+    shared: &'a ServerShared<'a>,
+    config: &'a ServerConfig,
+    /// [`ServerConfig::pipeline`], clamped to at least 1.
+    pipeline: usize,
 }
 
 /// Run the event core: the calling thread becomes event thread 0 (which
 /// also owns the listener); threads `1..io_threads` are spawned for the
 /// duration. Returns once every thread drained — i.e. after `shutdown`
 /// (or a fatal listener error, which is returned after the drain).
-pub(super) fn run<'t>(
+pub(super) fn run<'t, 's>(
     listener: &TcpListener,
-    client: &IngressClient<'t, '_, '_>,
+    client: &IngressClient<'t, 's, '_>,
     ts: &'t TransactionSchema,
-    alphabet: &RoleAlphabet,
     shared: &ServerShared<'_>,
     config: &ServerConfig,
     ev: &Arc<EventShared>,
@@ -291,12 +305,13 @@ pub(super) fn run<'t>(
         let ev = Arc::clone(ev);
         client.on_space(move || ev.inboxes[i].signal_space());
     }
+    let cx = |me| Cx { me, ev, client, ts, shared, config, pipeline: config.pipeline.max(1) };
     std::thread::scope(|scope| {
         for me in 1..ev.inboxes.len() {
-            let ev = Arc::clone(ev);
-            scope.spawn(move || event_thread(me, &ev, None, client, ts, alphabet, shared, config));
+            let cx = cx(me);
+            scope.spawn(move || event_thread(&cx, None));
         }
-        event_thread(0, ev, Some(listener), client, ts, alphabet, shared, config)
+        event_thread(&cx(0), Some(listener))
     })
 }
 
@@ -315,31 +330,44 @@ fn interest_of(c: &Conn<'_>, pipeline: usize) -> u32 {
     want
 }
 
-/// Register a connection's socket with the event thread's epoll
-/// instance under its connection id. A connection whose interest is
-/// currently empty stays registered with zero events — parked on inbox
-/// mail, invisible to `epoll_wait` — and closing the socket later
-/// deregisters it implicitly.
-fn register(ep: &Epoll, c: &mut Conn<'_>, pipeline: usize) -> std::io::Result<()> {
-    let want = interest_of(c, pipeline);
-    ep.add(c.stream.as_raw_fd(), want, c.id)?;
+/// Adopt a newly accepted socket on this thread: wrap it in a
+/// connection (already draining when `drain` is set) and register it
+/// with the thread's epoll instance under its connection id. A
+/// connection whose interest is currently empty stays registered with
+/// zero events — parked on inbox mail, invisible to `epoll_wait` — and
+/// closing the socket later deregisters it implicitly. A socket that
+/// cannot be registered (fd table churn) can never be polled, so it is
+/// dropped as if the accept had failed.
+fn adopt<'t>(
+    conns: &mut HashMap<u64, Conn<'t>>,
+    ep: &Epoll,
+    id: u64,
+    stream: TcpStream,
+    drain: Option<Instant>,
+    cx: &Cx<'_, 't, '_>,
+) {
+    let mut c = Conn::new(stream, id, cx.config.auth.is_none());
+    if let Some(deadline) = drain {
+        c.begin_drain(deadline);
+    }
+    let want = interest_of(&c, cx.pipeline);
+    if ep.add(c.stream.as_raw_fd(), want, id).is_err() {
+        cx.ev.live.fetch_sub(1, Ordering::SeqCst);
+        return;
+    }
     c.interest = want;
-    Ok(())
+    conns.insert(id, c);
 }
 
 /// Accept until the listener runs dry; returns the listener's fatal
 /// error, if any (per-connection failures only skip that socket).
-#[allow(clippy::too_many_arguments)]
 fn accept_burst<'t>(
     listener: &TcpListener,
-    me: usize,
     conns: &mut HashMap<u64, Conn<'t>>,
     ep: &Epoll,
-    pipeline: usize,
-    ev: &Arc<EventShared>,
-    config: &ServerConfig,
+    cx: &Cx<'_, 't, '_>,
 ) -> std::io::Result<()> {
-    let threads = ev.inboxes.len();
+    let (ev, config) = (cx.ev, cx.config);
     loop {
         match listener.accept() {
             Ok((stream, _)) => {
@@ -366,19 +394,11 @@ fn accept_burst<'t>(
                     continue;
                 }
                 ev.live.fetch_add(1, Ordering::SeqCst);
-                ev.connections.fetch_add(1, Ordering::SeqCst);
+                ev.metrics.connections.fetch_add(1, Ordering::SeqCst);
                 let id = ev.next_conn_id.fetch_add(1, Ordering::SeqCst);
-                let target = (id as usize) % threads;
-                if target == me {
-                    let mut c = Conn::new(stream, id, config.auth.is_none());
-                    if register(ep, &mut c, pipeline).is_err() {
-                        // Registration failure (fd table churn): the
-                        // socket can never be polled, so drop it as if
-                        // the accept had failed.
-                        ev.live.fetch_sub(1, Ordering::SeqCst);
-                        continue;
-                    }
-                    conns.insert(id, c);
+                let target = (id as usize) % ev.inboxes.len();
+                if target == cx.me {
+                    adopt(conns, ep, id, stream, None, cx);
                 } else {
                     ev.inboxes[target].push_conn(id, stream);
                 }
@@ -390,212 +410,342 @@ fn accept_burst<'t>(
     }
 }
 
-/// Post an `invoke` (or park it as the connection's pending op when its
-/// lane is full — which suppresses the connection's read interest until
-/// a space signal lets the retry through).
-fn post_invoke<'t>(
-    c: &mut Conn<'t>,
-    t: &'t Transaction,
-    args: Assignment,
-    binary: bool,
-    me: usize,
-    ev: &Arc<EventShared>,
-    client: &IngressClient<'t, '_, '_>,
-) {
-    let seq = c.push_slot(Slot::Waiting { binary });
-    let done = completion(ev, me, c.id, seq);
-    if let Err((args, done)) = client.try_post_done(t, args, done) {
-        c.pending = Some(Pending { t, args, done });
+/// One request, decoded from either dialect: what [`execute`] answers.
+enum Verb<'r, 't> {
+    /// `invoke`: the transaction and its arguments, or why the request
+    /// names no such call.
+    Invoke(Result<(&'t Transaction, Vec<Value>), String>),
+    /// `redefine`: the residue policy and the new inventory's source,
+    /// or why the request is malformed.
+    Redefine(Result<(ResiduePolicy, &'r str), String>),
+    /// An indexed `query`: the class and the compiled condition.
+    Query(ClassId, Condition),
+    // The text-only verbs (no frame kind decodes to them).
+    Schema,
+    Stats {
+        prom: bool,
+    },
+    Ping,
+    Auth,
+    Rearm,
+    Promote,
+    Quit,
+    Shutdown,
+    /// Refused at decode: an unknown verb or frame kind, a malformed
+    /// query, an unknown `stats` form.
+    Refused(String),
+}
+
+impl Verb<'_, '_> {
+    /// The data write this request would perform, if any — the verbs a
+    /// following replica refuses.
+    fn write(&self) -> Option<&'static str> {
+        match self {
+            Verb::Invoke(_) => Some("invoke"),
+            Verb::Redefine(_) => Some("redefine"),
+            _ => None,
+        }
     }
 }
 
-/// Post a `redefine` as an admin barrier op. The new-inventory source
-/// is parsed here on the event thread (a hostile payload is refused
-/// before it ever touches the admission worker); the op itself runs on
-/// the worker with exclusive monitor access, and the reply — rendered
-/// in the request's dialect — is mailed back only once the verdict is
-/// known *and* the write-ahead record is durable (or the attempt was
-/// refused/rolled back).
-#[allow(clippy::too_many_arguments)]
-fn post_redefine<'t>(
-    c: &mut Conn<'t>,
-    policy: ResiduePolicy,
-    source: &str,
-    binary: bool,
-    me: usize,
-    ev: &Arc<EventShared>,
-    client: &IngressClient<'t, '_, '_>,
-    shared: &ServerShared<'_>,
-) {
-    let inv = match Inventory::parse_init(shared.schema, shared.alphabet, source) {
-        Ok(inv) => inv,
-        Err(e) => {
-            let r = error_reply(ev, binary, &format!("redefine refused: {e}"));
-            c.push_slot(Slot::Ready(r));
-            return;
-        }
-    };
-    let seq = c.push_slot(Slot::Waiting { binary });
-    let (conn, owner) = (c.id, me);
-    let ev = Arc::clone(ev);
-    let metrics = Arc::clone(&shared.metrics);
-    client.post_admin(Box::new(move |gate| {
-        // Phase 1, on the admission worker between blocks: apply (or
-        // learn why not). Totals are read while the monitor is still
-        // exclusively ours — the durable flag arrives later.
-        let attempt = match gate {
-            Ok(m) => {
-                let result = m.redefine(&inv, policy);
-                let totals = (m.epoch(), m.redefine_total(), m.quarantined_total());
-                Ok((result, totals))
-            }
-            Err(reason) => Err(reason),
-        };
-        Box::new(move |durable: bool| {
-            let bytes = match attempt {
-                Ok((Ok(out), (epoch, redefines, quarantined))) if durable => {
-                    metrics.set_evolution(epoch, redefines, quarantined);
-                    ok_reply(binary, &format!("epoch={} residue={}", out.epoch, out.residue))
-                }
-                // The record never became durable: the worker winds the
-                // monitor back to the durable image before admitting
-                // anything else, so the epoch this op minted is gone.
-                Ok((Ok(_), _)) => error_reply(
-                    &ev,
-                    binary,
-                    "redefinition rolled back: write-ahead log degraded before it became durable",
-                ),
-                Ok((Err(e), _)) => error_reply(&ev, binary, &e.to_string()),
-                Err(reason) => {
-                    error_reply(&ev, binary, &EnforceError::Degraded(reason).to_string())
-                }
-            };
-            ev.inboxes[owner].push_done(Done { conn, seq, reply: Reply::Bytes(bytes) });
-        })
-    }));
-}
-
-/// Post an indexed `query` as a **read-only** admin op: the
-/// class/condition pair was parsed on the event thread, the scan runs
-/// on the admission worker between blocks (no flush barrier — replicas
-/// and degraded primaries still serve it), and the pre-rendered reply
-/// is mailed back immediately.
-fn post_query<'t>(
-    c: &mut Conn<'t>,
-    class: migratory_model::ClassId,
-    cond: migratory_model::Condition,
-    binary: bool,
-    me: usize,
-    ev: &Arc<EventShared>,
-    client: &IngressClient<'t, '_, '_>,
-) {
-    let seq = c.push_slot(Slot::Waiting { binary });
-    let (conn, owner) = (c.id, me);
-    let ev = Arc::clone(ev);
-    client.post_admin_read(Box::new(move |gate| {
-        let attempt = match gate {
-            Ok(m) => {
-                let oids = m.db().sat(class, &cond);
-                let mut shown = String::new();
-                for (i, oid) in oids.iter().take(32).enumerate() {
-                    if i > 0 {
-                        shown.push(',');
-                    }
-                    shown.push_str(&oid.to_string());
-                }
-                Ok(format!("query count={} oids={shown}", oids.len()))
-            }
-            Err(reason) => Err(reason),
-        };
-        Box::new(move |_durable: bool| {
-            let bytes = match attempt {
-                Ok(msg) => ok_reply(binary, &msg),
-                Err(reason) => {
-                    error_reply(&ev, binary, &EnforceError::Degraded(reason).to_string())
-                }
-            };
-            ev.inboxes[owner].push_done(Done { conn, seq, reply: Reply::Bytes(bytes) });
-        })
-    }));
-}
-
-/// Promote a replica to a writable primary. The pull loop is told to
-/// stop first; the flip itself rides a write-flavored admin op so it
-/// queues **behind** every apply batch the puller already posted — the
-/// shipped tail folds before the halt lands, and nothing of the acked
-/// stream is dropped. Phase 1 halts further applies and lifts the
-/// read-only refusal while the monitor is exclusively ours. The
-/// evolution gauges need no refresh: the puller stored them after every
-/// folded batch.
-fn post_promote<'t>(
-    c: &mut Conn<'t>,
-    ctl: &Arc<crate::enforce::repl::ReplicaCtl>,
-    binary: bool,
-    me: usize,
-    ev: &Arc<EventShared>,
-    client: &IngressClient<'t, '_, '_>,
-) {
-    let seq = c.push_slot(Slot::Waiting { binary });
-    let (conn, owner) = (c.id, me);
-    let ev = Arc::clone(ev);
-    let ctl = Arc::clone(ctl);
-    ctl.request_stop();
-    client.post_admin(Box::new(move |gate| {
-        let attempt = match gate {
-            Ok(m) => {
-                ctl.halt();
-                ctl.make_writable();
-                Ok((m.epoch(), ctl.applied()))
-            }
-            Err(reason) => Err(reason),
-        };
-        Box::new(move |_durable: bool| {
-            let bytes = match attempt {
-                Ok((epoch, applied)) => {
-                    ok_reply(binary, &format!("promoted epoch={epoch} applied={applied}"))
-                }
-                Err(reason) => {
-                    error_reply(&ev, binary, &EnforceError::Degraded(reason).to_string())
-                }
-            };
-            ev.inboxes[owner].push_done(Done { conn, seq, reply: Reply::Bytes(bytes) });
-        })
-    }));
-}
-
-/// The split-brain guard: a replica refuses data writes until promoted
-/// — two writable heads of the same chain must never coexist. Returns
-/// the refusal message when `verb` must be bounced.
-fn replica_refusal(shared: &ServerShared<'_>, verb: &str) -> Option<String> {
-    shared.replica.as_ref().filter(|ctl| ctl.is_read_only()).map(|ctl| {
-        format!(
-            "replica is read-only: {verb} refused (following {}; `promote` to accept writes)",
-            ctl.upstream()
-        )
-    })
-}
-
-/// Dispatch one extracted request. Returns `false` when extraction on
-/// this connection must stop (quit, shutdown, teardown).
-#[allow(clippy::too_many_arguments)]
-fn dispatch<'t>(
-    c: &mut Conn<'t>,
-    req: Request,
-    wire: u64,
-    me: usize,
-    ev: &Arc<EventShared>,
-    client: &IngressClient<'t, '_, '_>,
+/// Look up an invocation's transaction.
+fn resolve<'t>(
     ts: &'t TransactionSchema,
-    shared: &ServerShared<'_>,
-    config: &ServerConfig,
-) -> bool {
+    name: &str,
+    args: Vec<Value>,
+) -> Result<(&'t Transaction, Vec<Value>), String> {
+    ts.get(name).map(|t| (t, args)).ok_or_else(|| format!("unknown transaction `{name}`"))
+}
+
+/// A `query` body, in either dialect.
+fn decode_query<'r, 't>(schema: &Schema, body: &str) -> Verb<'r, 't> {
+    match super::parse_query(schema, body) {
+        Ok((class, cond)) => Verb::Query(class, cond),
+        Err(e) => Verb::Refused(e),
+    }
+}
+
+/// Split a text request into its verb and the trimmed rest.
+fn split_verb(line: &str) -> (&str, &str) {
+    match line.split_once(char::is_whitespace) {
+        Some((v, r)) => (v, r.trim()),
+        None => (line, ""),
+    }
+}
+
+/// Decode one trimmed text request line.
+fn decode_line<'r, 't>(line: &'r str, ts: &'t TransactionSchema, schema: &Schema) -> Verb<'r, 't> {
+    let (verb, rest) = split_verb(line);
+    match verb {
+        "invoke" => {
+            Verb::Invoke(parse_invocation(rest).and_then(|(name, args)| resolve(ts, name, args)))
+        }
+        "query" if rest.is_empty() => {
+            Verb::Refused("usage: query <Class>[(Attr=value,...)]".to_owned())
+        }
+        "query" => decode_query(schema, rest),
+        // `redefine <quarantine|certify-and-reset> <inventory src>`:
+        // policy token first, the rest of the line is the source.
+        "redefine" => Verb::Redefine(match split_verb(rest) {
+            ("", _) | (_, "") => Err("usage: redefine <quarantine|certify-and-reset> \
+                                      <inventory source>"
+                .to_owned()),
+            (policy, src) => ResiduePolicy::parse(policy)
+                .map(|p| (p, src))
+                .map_err(|e| format!("redefine refused: {e}")),
+        }),
+        "schema" => Verb::Schema,
+        // `stats` is the flat test-locked line; `stats prom` is the
+        // Prometheus exposition, length-prefixed. Anything else after
+        // the verb is an error rather than silently flat.
+        "stats" => match rest {
+            "" => Verb::Stats { prom: false },
+            "prom" => Verb::Stats { prom: true },
+            other => Verb::Refused(format!("unknown stats form `{other}`")),
+        },
+        "ping" => Verb::Ping,
+        "auth" => Verb::Auth,
+        "rearm" => Verb::Rearm,
+        "promote" => Verb::Promote,
+        "quit" => Verb::Quit,
+        "shutdown" => Verb::Shutdown,
+        other => Verb::Refused(format!(
+            "unknown verb `{other}` \
+             (invoke|query|schema|stats|ping|auth|redefine|promote|rearm|quit|shutdown)"
+        )),
+    }
+}
+
+/// Decode one binary frame.
+fn decode_frame<'r, 't>(
+    kind: u8,
+    payload: &'r [u8],
+    ts: &'t TransactionSchema,
+    schema: &Schema,
+) -> Verb<'r, 't> {
+    match kind {
+        frame::REQ_INVOKE => {
+            let mut r = migratory_model::codec::Reader::new(payload);
+            Verb::Invoke(match migratory_lang::codec::decode_invoke(&mut r) {
+                Ok((name, args)) if r.is_exhausted() => resolve(ts, &name, args),
+                Ok(_) => Err("trailing bytes after invoke payload".to_owned()),
+                Err(e) => Err(e.to_string()),
+            })
+        }
+        frame::REQ_REDEFINE => Verb::Redefine(match payload.split_first() {
+            None => Err("empty redefine payload".to_owned()),
+            Some((pb, src)) => match (ResiduePolicy::from_byte(*pb), std::str::from_utf8(src)) {
+                (Err(e), _) => Err(format!("redefine refused: {e}")),
+                (Ok(_), Err(_)) => Err("redefine payload is not UTF-8".to_owned()),
+                (Ok(p), Ok(src)) => Ok((p, src)),
+            },
+        }),
+        frame::REQ_QUERY => match std::str::from_utf8(payload) {
+            Ok(q) => decode_query(schema, q),
+            Err(_) => Verb::Refused("query payload is not UTF-8".to_owned()),
+        },
+        other => Verb::Refused(format!(
+            "unknown frame kind {other:#04x} (expected invoke {:#04x}, \
+             redefine {:#04x}, or query {:#04x})",
+            frame::REQ_INVOKE,
+            frame::REQ_REDEFINE,
+            frame::REQ_QUERY
+        )),
+    }
+}
+
+/// An admin op's first phase hands this its reply: the `ok` message or
+/// the error message, decided once the worker knows whether what the
+/// op staged became durable.
+type Render = Box<dyn FnOnce(bool) -> Result<String, String> + Send>;
+
+/// Post an admin op whose reply is rendered on the admission worker:
+/// the worker's gate runs first (a refusal answers `degraded`), then
+/// `phase1` with exclusive monitor access, then — once the durable flag
+/// is known — the rendered reply is mailed to the owning event thread.
+/// `read_only` ops skip the flush barrier and are served even in
+/// degraded mode ([`IngressClient::post_admin_read`]).
+fn post_admin_reply<'t, 's>(
+    c: &mut Conn<'t>,
+    binary: bool,
+    read_only: bool,
+    cx: &Cx<'_, 't, 's>,
+    phase1: impl FnOnce(&mut ShardedMonitor<'s>) -> Render + Send + 't,
+) {
+    let seq = c.push_slot(Slot::Waiting { binary });
+    let (conn, owner, ev) = (c.id, cx.me, Arc::clone(cx.ev));
+    let op: AdminOp<'t, 's> = Box::new(move |gate| {
+        let render: Render = match gate {
+            Ok(m) => phase1(m),
+            Err(reason) => Box::new(move |_| Err(EnforceError::Degraded(reason).to_string())),
+        };
+        Box::new(move |durable| {
+            let bytes = match render(durable) {
+                Ok(msg) => ok_reply(binary, &msg),
+                Err(msg) => error_reply(&ev.metrics, binary, &msg),
+            };
+            ev.inboxes[owner].push_done(Done { conn, seq, reply: Reply::Bytes(bytes) });
+        })
+    });
+    if read_only {
+        cx.client.post_admin_read(op);
+    } else {
+        cx.client.post_admin(op);
+    }
+}
+
+/// Answer one decoded request, in the dialect it arrived in. Returns
+/// `false` when extraction on this connection must stop (`quit`,
+/// `shutdown`).
+fn execute<'t>(c: &mut Conn<'t>, verb: Verb<'_, 't>, binary: bool, cx: &Cx<'_, 't, '_>) -> bool {
+    let (ev, shared) = (cx.ev, cx.shared);
+    let refuse = |c: &mut Conn<'t>, msg: &str| {
+        c.push_slot(Slot::Ready(error_reply(&ev.metrics, binary, msg)));
+    };
+    // The split-brain guard, read once per request and before any
+    // argument error: a replica refuses data writes until promoted —
+    // two writable heads of the same chain must never coexist.
+    if let (Some(write), Some(ctl)) = (verb.write(), &shared.replica) {
+        if ctl.is_read_only() {
+            let msg = format!(
+                "replica is read-only: {write} refused (following {}; `promote` to accept writes)",
+                ctl.upstream()
+            );
+            refuse(c, &msg);
+            return true;
+        }
+    }
+    match verb {
+        Verb::Invoke(Ok((t, args))) => {
+            // Post the op, or park it as the connection's pending op
+            // when its lane is full — which suppresses the connection's
+            // read interest until a space signal lets the retry through.
+            let seq = c.push_slot(Slot::Waiting { binary });
+            let done = completion(ev, cx.me, c.id, seq);
+            if let Err((args, done)) = cx.client.try_post_done(t, Assignment::new(args), done) {
+                c.pending = Some(Pending { t, args, done });
+            }
+        }
+        // The new-inventory source is parsed here on the event thread
+        // (a hostile payload is refused before it ever touches the
+        // admission worker); the swap runs as a barrier op, and its
+        // reply is released only once the verdict is known *and* the
+        // write-ahead record is durable (or the attempt was refused or
+        // rolled back).
+        Verb::Redefine(Ok((policy, src))) => {
+            match Inventory::parse_init(shared.schema, shared.alphabet, src) {
+                Err(e) => refuse(c, &format!("redefine refused: {e}")),
+                Ok(inv) => {
+                    let metrics = Arc::clone(&ev.metrics);
+                    post_admin_reply(c, binary, false, cx, move |m| {
+                        // Totals are read while the monitor is still
+                        // exclusively ours; the durable flag arrives
+                        // later.
+                        let result = m.redefine(&inv, policy);
+                        let totals = (m.epoch(), m.redefine_total(), m.quarantined_total());
+                        Box::new(move |durable| match result {
+                            Ok(out) if durable => {
+                                metrics.set_evolution(totals.0, totals.1, totals.2);
+                                Ok(format!("epoch={} residue={}", out.epoch, out.residue))
+                            }
+                            // The record never became durable: the
+                            // worker winds the monitor back to the
+                            // durable image before admitting anything
+                            // else, so the epoch this op minted is gone.
+                            Ok(_) => Err("redefinition rolled back: write-ahead log degraded \
+                                          before it became durable"
+                                .to_owned()),
+                            Err(e) => Err(e.to_string()),
+                        })
+                    });
+                }
+            }
+        }
+        // A read-only admin op: the scan runs on the admission worker
+        // between blocks (no flush barrier — replicas and degraded
+        // primaries still serve it).
+        Verb::Query(class, cond) => post_admin_reply(c, binary, true, cx, move |m| {
+            let oids = m.db().sat(class, &cond);
+            let mut shown = String::new();
+            for (i, oid) in oids.iter().take(32).enumerate() {
+                if i > 0 {
+                    shown.push(',');
+                }
+                shown.push_str(&oid.to_string());
+            }
+            let msg = format!("query count={} oids={shown}", oids.len());
+            Box::new(move |_| Ok(msg))
+        }),
+        Verb::Invoke(Err(e)) | Verb::Redefine(Err(e)) | Verb::Refused(e) => refuse(c, &e),
+        Verb::Schema => {
+            c.push_slot(Slot::Ready(format!("{}\n", shared.schema_line).into_bytes()));
+        }
+        Verb::Stats { prom } => {
+            c.push_slot(Slot::Stats { prom });
+        }
+        Verb::Ping => {
+            c.push_slot(Slot::Ready(b"ok pong\n".to_vec()));
+        }
+        // Re-authenticating (or authing with no token configured) is a
+        // harmless no-op, so scripts can always send it first.
+        Verb::Auth => {
+            c.push_slot(Slot::Ready(b"ok authed\n".to_vec()));
+        }
+        Verb::Rearm => {
+            // Operator action: leave degraded read-only mode. If the
+            // fault persists, the next failing append re-degrades.
+            shared.health.rearm();
+            c.push_slot(Slot::Ready(b"ok armed\n".to_vec()));
+        }
+        // Promote a replica to a writable primary. The pull loop is told
+        // to stop first; the flip itself rides a write-flavored admin op
+        // so it queues **behind** every apply batch the puller already
+        // posted — the shipped tail folds before the halt lands, and
+        // nothing of the acked stream is dropped. Phase 1 halts further
+        // applies and lifts the read-only refusal while the monitor is
+        // exclusively ours. The evolution gauges need no refresh: the
+        // puller stored them after every folded batch.
+        Verb::Promote => match &shared.replica {
+            None => refuse(c, "not a replica (promote targets a server started with --replica-of)"),
+            Some(ctl) => {
+                let ctl = Arc::clone(ctl);
+                ctl.request_stop();
+                post_admin_reply(c, binary, false, cx, move |m| {
+                    ctl.halt();
+                    ctl.make_writable();
+                    let msg = format!("promoted epoch={} applied={}", m.epoch(), ctl.applied());
+                    Box::new(move |_| Ok(msg))
+                });
+            }
+        },
+        Verb::Quit => {
+            c.teardown(Some(b"ok bye\n".to_vec()));
+            return false;
+        }
+        Verb::Shutdown => {
+            c.push_slot(Slot::Ready(b"ok draining\n".to_vec()));
+            c.read_open = false;
+            ev.shutdown.store(true, Ordering::SeqCst);
+            ev.wake_all();
+            return false;
+        }
+    }
+    true
+}
+
+/// Admit one extracted request past the connection's supervision —
+/// byte and request quotas, the auth gate — then decode it in its
+/// dialect and [`execute`] it. Returns `false` when extraction on this
+/// connection must stop (quit, shutdown, teardown).
+fn dispatch<'t>(c: &mut Conn<'t>, req: Request, wire: u64, cx: &Cx<'_, 't, '_>) -> bool {
+    let (metrics, config) = (&cx.ev.metrics, cx.config);
     let binary = matches!(req, Request::Frame(..));
     c.last_binary = binary;
     c.bytes += wire;
     if config.max_conn_bytes > 0 && c.bytes > config.max_conn_bytes {
         let msg =
             format!("connection byte quota exceeded ({} bytes); closing", config.max_conn_bytes);
-        c.teardown(Some(error_reply(ev, binary, &msg)));
+        c.teardown(Some(error_reply(metrics, binary, &msg)));
         return false;
     }
     // Blank lines and comments get no reply (text dialect only — every
@@ -606,14 +756,14 @@ fn dispatch<'t>(
             return true;
         }
     }
-    ev.requests.fetch_add(1, Ordering::SeqCst);
+    metrics.requests.fetch_add(1, Ordering::SeqCst);
     c.ops += 1;
     if config.max_conn_ops > 0 && c.ops > config.max_conn_ops {
         let msg = format!(
             "connection request quota exceeded ({} requests); closing",
             config.max_conn_ops
         );
-        c.teardown(Some(error_reply(ev, binary, &msg)));
+        c.teardown(Some(error_reply(metrics, binary, &msg)));
         return false;
     }
     if !c.authed {
@@ -621,261 +771,22 @@ fn dispatch<'t>(
         // auth — not even error details that would confirm verb names,
         // and no binary traffic at all.
         if let Request::Line(ref l) = req {
-            let line = l.trim();
-            let (verb, rest) = match line.split_once(char::is_whitespace) {
-                Some((v, r)) => (v, r.trim()),
-                None => (line, ""),
-            };
+            let (verb, rest) = split_verb(l.trim());
             if verb == "auth" && config.auth.as_deref().is_some_and(|tok| token_eq(tok, rest)) {
                 c.authed = true;
                 c.push_slot(Slot::Ready(b"ok authed\n".to_vec()));
                 return true;
             }
         }
-        c.teardown(Some(error_reply(
-            ev,
-            binary,
-            "authentication required (send `auth <token>` first)",
-        )));
+        let msg = "authentication required (send `auth <token>` first)";
+        c.teardown(Some(error_reply(metrics, binary, msg)));
         return false;
     }
-    match req {
-        Request::Line(line) => dispatch_verb(c, line.trim(), me, ev, client, ts, shared),
-        Request::Frame(kind, payload) => {
-            dispatch_frame(c, kind, &payload, me, ev, client, ts, shared);
-            true
-        }
-    }
-}
-
-fn dispatch_verb<'t>(
-    c: &mut Conn<'t>,
-    line: &str,
-    me: usize,
-    ev: &Arc<EventShared>,
-    client: &IngressClient<'t, '_, '_>,
-    ts: &'t TransactionSchema,
-    shared: &ServerShared<'_>,
-) -> bool {
-    let (verb, rest) = match line.split_once(char::is_whitespace) {
-        Some((v, r)) => (v, r.trim()),
-        None => (line, ""),
+    let verb = match &req {
+        Request::Line(line) => decode_line(line.trim(), cx.ts, cx.shared.schema),
+        Request::Frame(kind, payload) => decode_frame(*kind, payload, cx.ts, cx.shared.schema),
     };
-    match verb {
-        "invoke" => match replica_refusal(shared, "invoke") {
-            Some(msg) => {
-                let r = error_reply(ev, false, &msg);
-                c.push_slot(Slot::Ready(r));
-            }
-            None => match parse_invocation(rest) {
-                Ok((name, args)) => match ts.get(name) {
-                    Some(t) => post_invoke(c, t, Assignment::new(args), false, me, ev, client),
-                    None => {
-                        let r = error_reply(ev, false, &format!("unknown transaction `{name}`"));
-                        c.push_slot(Slot::Ready(r));
-                    }
-                },
-                Err(e) => {
-                    let r = error_reply(ev, false, &e);
-                    c.push_slot(Slot::Ready(r));
-                }
-            },
-        },
-        "query" => {
-            if rest.is_empty() {
-                let r = error_reply(ev, false, "usage: query <Class>[(Attr=value,...)]");
-                c.push_slot(Slot::Ready(r));
-            } else {
-                match super::parse_query(shared.schema, rest) {
-                    Ok((class, cond)) => post_query(c, class, cond, false, me, ev, client),
-                    Err(e) => {
-                        let r = error_reply(ev, false, &e);
-                        c.push_slot(Slot::Ready(r));
-                    }
-                }
-            }
-        }
-        "schema" => {
-            c.push_slot(Slot::Ready(format!("{}\n", shared.schema_line).into_bytes()));
-        }
-        "stats" => {
-            // `stats` is the flat test-locked line; `stats prom` is the
-            // Prometheus exposition, length-prefixed. Anything else
-            // after the verb is an error rather than silently flat.
-            let slot = match rest {
-                "" => Slot::Stats { prom: false },
-                "prom" => Slot::Stats { prom: true },
-                other => {
-                    Slot::Ready(error_reply(ev, false, &format!("unknown stats form `{other}`")))
-                }
-            };
-            c.push_slot(slot);
-        }
-        "ping" => {
-            c.push_slot(Slot::Ready(b"ok pong\n".to_vec()));
-        }
-        // Re-authenticating (or authing with no token configured) is a
-        // harmless no-op, so scripts can always send it first.
-        "auth" => {
-            c.push_slot(Slot::Ready(b"ok authed\n".to_vec()));
-        }
-        "redefine" => {
-            // `redefine <quarantine|certify-and-reset> <inventory src>`:
-            // policy token first, the rest of the line is the source.
-            let (policy, src) = match rest.split_once(char::is_whitespace) {
-                Some((p, s)) => (p, s.trim()),
-                None => (rest, ""),
-            };
-            if let Some(msg) = replica_refusal(shared, "redefine") {
-                let r = error_reply(ev, false, &msg);
-                c.push_slot(Slot::Ready(r));
-            } else if policy.is_empty() || src.is_empty() {
-                let r = error_reply(
-                    ev,
-                    false,
-                    "usage: redefine <quarantine|certify-and-reset> <inventory source>",
-                );
-                c.push_slot(Slot::Ready(r));
-            } else {
-                match ResiduePolicy::parse(policy) {
-                    Ok(p) => post_redefine(c, p, src, false, me, ev, client, shared),
-                    Err(e) => {
-                        let r = error_reply(ev, false, &format!("redefine refused: {e}"));
-                        c.push_slot(Slot::Ready(r));
-                    }
-                }
-            }
-        }
-        "rearm" => {
-            // Operator action: leave degraded read-only mode. If the
-            // fault persists, the next failing append re-degrades.
-            shared.health.rearm();
-            c.push_slot(Slot::Ready(b"ok armed\n".to_vec()));
-        }
-        "promote" => match &shared.replica {
-            None => {
-                let r = error_reply(
-                    ev,
-                    false,
-                    "not a replica (promote targets a server started with --replica-of)",
-                );
-                c.push_slot(Slot::Ready(r));
-            }
-            Some(ctl) => post_promote(c, ctl, false, me, ev, client),
-        },
-        "quit" => {
-            c.teardown(Some(b"ok bye\n".to_vec()));
-            return false;
-        }
-        "shutdown" => {
-            c.push_slot(Slot::Ready(b"ok draining\n".to_vec()));
-            c.read_open = false;
-            ev.shutdown.store(true, Ordering::SeqCst);
-            ev.wake_all();
-            return false;
-        }
-        other => {
-            let r = error_reply(
-                ev,
-                false,
-                &format!(
-                    "unknown verb `{other}` \
-                     (invoke|query|schema|stats|ping|auth|redefine|promote|rearm|quit|shutdown)"
-                ),
-            );
-            c.push_slot(Slot::Ready(r));
-        }
-    }
-    true
-}
-
-#[allow(clippy::too_many_arguments)]
-fn dispatch_frame<'t>(
-    c: &mut Conn<'t>,
-    kind: u8,
-    payload: &[u8],
-    me: usize,
-    ev: &Arc<EventShared>,
-    client: &IngressClient<'t, '_, '_>,
-    ts: &'t TransactionSchema,
-    shared: &ServerShared<'_>,
-) {
-    match kind {
-        frame::REQ_INVOKE => {
-            if let Some(msg) = replica_refusal(shared, "invoke") {
-                let rep = error_reply(ev, true, &msg);
-                c.push_slot(Slot::Ready(rep));
-                return;
-            }
-            let mut r = migratory_model::codec::Reader::new(payload);
-            match migratory_lang::codec::decode_invoke(&mut r) {
-                Ok((name, args)) if r.is_exhausted() => match ts.get(&name) {
-                    Some(t) => post_invoke(c, t, Assignment::new(args), true, me, ev, client),
-                    None => {
-                        let rep = error_reply(ev, true, &format!("unknown transaction `{name}`"));
-                        c.push_slot(Slot::Ready(rep));
-                    }
-                },
-                Ok(_) => {
-                    let rep = error_reply(ev, true, "trailing bytes after invoke payload");
-                    c.push_slot(Slot::Ready(rep));
-                }
-                Err(e) => {
-                    let rep = error_reply(ev, true, &e.to_string());
-                    c.push_slot(Slot::Ready(rep));
-                }
-            }
-        }
-        frame::REQ_REDEFINE if replica_refusal(shared, "redefine").is_some() => {
-            let msg = replica_refusal(shared, "redefine").expect("guard matched");
-            let rep = error_reply(ev, true, &msg);
-            c.push_slot(Slot::Ready(rep));
-        }
-        frame::REQ_REDEFINE => match payload.split_first() {
-            None => {
-                let rep = error_reply(ev, true, "empty redefine payload");
-                c.push_slot(Slot::Ready(rep));
-            }
-            Some((pb, src)) => match (ResiduePolicy::from_byte(*pb), std::str::from_utf8(src)) {
-                (Err(e), _) => {
-                    let rep = error_reply(ev, true, &format!("redefine refused: {e}"));
-                    c.push_slot(Slot::Ready(rep));
-                }
-                (Ok(_), Err(_)) => {
-                    let rep = error_reply(ev, true, "redefine payload is not UTF-8");
-                    c.push_slot(Slot::Ready(rep));
-                }
-                (Ok(p), Ok(src)) => post_redefine(c, p, src, true, me, ev, client, shared),
-            },
-        },
-        frame::REQ_QUERY => match std::str::from_utf8(payload) {
-            Err(_) => {
-                let rep = error_reply(ev, true, "query payload is not UTF-8");
-                c.push_slot(Slot::Ready(rep));
-            }
-            Ok(q) => match super::parse_query(shared.schema, q) {
-                Ok((class, cond)) => post_query(c, class, cond, true, me, ev, client),
-                Err(e) => {
-                    let rep = error_reply(ev, true, &e);
-                    c.push_slot(Slot::Ready(rep));
-                }
-            },
-        },
-        other => {
-            let rep = error_reply(
-                ev,
-                true,
-                &format!(
-                    "unknown frame kind {other:#04x} (expected invoke {:#04x}, \
-                     redefine {:#04x}, or query {:#04x})",
-                    frame::REQ_INVOKE,
-                    frame::REQ_REDEFINE,
-                    frame::REQ_QUERY
-                ),
-            );
-            c.push_slot(Slot::Ready(rep));
-        }
-    }
+    execute(c, verb, binary, cx)
 }
 
 /// Drive one connection as far as it will go: retry a parked post,
@@ -883,23 +794,14 @@ fn dispatch_frame<'t>(
 /// write. Loops while progress is made, because writing can re-open the
 /// extraction gate (write-buffer high-water mark) for bytes that are
 /// already buffered and would otherwise never see a poll event.
-#[allow(clippy::too_many_arguments)]
-fn pump<'t>(
-    c: &mut Conn<'t>,
-    me: usize,
-    ev: &Arc<EventShared>,
-    client: &IngressClient<'t, '_, '_>,
-    ts: &'t TransactionSchema,
-    shared: &ServerShared<'_>,
-    config: &ServerConfig,
-    pipeline: usize,
-) {
+fn pump<'t>(c: &mut Conn<'t>, cx: &Cx<'_, 't, '_>) {
+    let (ev, metrics, pipeline) = (cx.ev, &cx.ev.metrics, cx.pipeline);
     loop {
         if c.dead {
             return;
         }
         if let Some(p) = c.pending.take() {
-            if let Err((args, done)) = client.try_post_done(p.t, p.args, p.done) {
+            if let Err((args, done)) = cx.client.try_post_done(p.t, p.args, p.done) {
                 c.pending = Some(Pending { t: p.t, args, done });
             }
         }
@@ -913,20 +815,18 @@ fn pump<'t>(
                 }
                 Extracted::Some(req, wire) => {
                     dispatched = true;
-                    if !dispatch(c, req, wire, me, ev, client, ts, shared, config) {
+                    if !dispatch(c, req, wire, cx) {
                         break;
                     }
                 }
                 Extracted::LineTooLong => {
-                    let r =
-                        error_reply(ev, false, &format!("request line exceeds {MAX_LINE} bytes"));
-                    c.teardown(Some(r));
+                    let msg = format!("request line exceeds {MAX_LINE} bytes");
+                    c.teardown(Some(error_reply(metrics, false, &msg)));
                     break;
                 }
                 Extracted::FrameOversized(len) => {
                     let msg = format!("frame length {len} exceeds {} bytes", frame::MAX_PAYLOAD);
-                    let r = error_reply(ev, true, &msg);
-                    c.teardown(Some(r));
+                    c.teardown(Some(error_reply(metrics, true, &msg)));
                     break;
                 }
                 Extracted::BadUtf8 => {
@@ -949,7 +849,7 @@ fn pump<'t>(
             c.teardown(None);
         }
         c.compact();
-        c.flush_slots(|prom| stats_reply(ev, shared, prom));
+        c.flush_slots(|prom| stats_reply(ev, cx.shared, prom));
         let unsent_before = c.unsent();
         if c.wants_write() {
             c.try_write();
@@ -963,19 +863,9 @@ fn pump<'t>(
 
 /// One event thread. `listener` is `Some` only for thread 0. The
 /// `Result` carries a fatal listener error (reported after the drain).
-#[allow(clippy::too_many_arguments)]
-fn event_thread<'t>(
-    me: usize,
-    ev: &Arc<EventShared>,
-    listener: Option<&TcpListener>,
-    client: &IngressClient<'t, '_, '_>,
-    ts: &'t TransactionSchema,
-    alphabet: &RoleAlphabet,
-    shared: &ServerShared<'_>,
-    config: &ServerConfig,
-) -> std::io::Result<()> {
-    let pipeline = config.pipeline.max(1);
-    let mut conns: HashMap<u64, Conn<'t>> = HashMap::new();
+fn event_thread(cx: &Cx<'_, '_, '_>, listener: Option<&TcpListener>) -> std::io::Result<()> {
+    let (me, ev, config, pipeline) = (cx.me, cx.ev, cx.config, cx.pipeline);
+    let mut conns: HashMap<u64, Conn<'_>> = HashMap::new();
     let mut draining = false;
     let mut fatal: Option<std::io::Error> = None;
     let mut gone: Vec<u64> = Vec::new();
@@ -1028,16 +918,9 @@ fn event_thread<'t>(
                 ev.wake_all();
             }
         }
+        let drain = draining.then(|| Instant::now() + DRAIN_TIMEOUT);
         for (id, stream) in mail.conns {
-            let mut c = Conn::new(stream, id, config.auth.is_none());
-            if draining {
-                c.begin_drain(Instant::now() + DRAIN_TIMEOUT);
-            }
-            if register(&ep, &mut c, pipeline).is_err() {
-                ev.live.fetch_sub(1, Ordering::SeqCst);
-                continue;
-            }
-            conns.insert(id, c);
+            adopt(&mut conns, &ep, id, stream, drain, cx);
         }
         for d in mail.dones {
             // A completion for a connection that died meanwhile was
@@ -1045,7 +928,7 @@ fn event_thread<'t>(
             if let Some(c) = conns.get_mut(&d.conn) {
                 if let Some(binary) = c.waiting_dialect(d.seq) {
                     let bytes = match d.reply {
-                        Reply::Outcome(o) => outcome_reply(&o, binary, alphabet),
+                        Reply::Outcome(o) => outcome_reply(&o, binary, cx.shared.alphabet),
                         Reply::Bytes(b) => b,
                     };
                     c.fill_slot(d.seq, bytes);
@@ -1077,7 +960,7 @@ fn event_thread<'t>(
                             // the connection's last-seen dialect so a
                             // binary client parked in `read_frame`
                             // receives a decodable frame.
-                            let r = error_reply(ev, c.last_binary, &msg);
+                            let r = error_reply(&ev.metrics, c.last_binary, &msg);
                             c.teardown(Some(r));
                             c.dirty = true;
                         }
@@ -1105,7 +988,7 @@ fn event_thread<'t>(
                 continue;
             }
             c.dirty = false;
-            pump(c, me, ev, client, ts, shared, config, pipeline);
+            pump(c, cx);
             if c.dead || c.finished() {
                 gone.push(*id);
                 continue;
@@ -1133,7 +1016,7 @@ fn event_thread<'t>(
                 // writer's drained tickets; if the lane is still full
                 // the op is dropped with the connection.
                 if let Some(p) = c.pending.take() {
-                    let _ = client.try_post_done(p.t, p.args, p.done);
+                    let _ = cx.client.try_post_done(p.t, p.args, p.done);
                 }
             }
         }
@@ -1146,13 +1029,7 @@ fn event_thread<'t>(
                 break;
             }
             for (id, stream) in last.conns {
-                let mut c = Conn::new(stream, id, config.auth.is_none());
-                c.begin_drain(Instant::now() + DRAIN_TIMEOUT);
-                if register(&ep, &mut c, pipeline).is_err() {
-                    ev.live.fetch_sub(1, Ordering::SeqCst);
-                    continue;
-                }
-                conns.insert(id, c);
+                adopt(&mut conns, &ep, id, stream, Some(Instant::now() + DRAIN_TIMEOUT), cx);
             }
             continue;
         }
@@ -1207,7 +1084,7 @@ fn event_thread<'t>(
                         continue;
                     }
                     let Some(l) = listener else { continue };
-                    if let Err(e) = accept_burst(l, me, &mut conns, &ep, pipeline, ev, config) {
+                    if let Err(e) = accept_burst(l, &mut conns, &ep, cx) {
                         // Fatal listener error: stop accepting, drain
                         // what was accepted, report after.
                         fatal = Some(e);

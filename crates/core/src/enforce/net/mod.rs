@@ -32,6 +32,20 @@
 //! FIFO, and pipelined requests from one connection batch into admission
 //! blocks just like an in-process pipelining producer's.
 //!
+//! Every request takes one path, whichever dialect carried it: **decode,
+//! then execute**. One small decoder per dialect turns a text line or a
+//! binary frame into the same verb — `invoke`, `query`, `redefine`, or
+//! one of the text-only verbs — and one executor answers it. The
+//! executor reads the replica write guard once (a following replica
+//! refuses `invoke` and `redefine` before looking at their arguments),
+//! queues the reply slot and posts the work: `invoke` goes to the
+//! connection's admission lane; `redefine`, `query` and `promote` run
+//! as admin ops whose reply is rendered on the admission worker and
+//! mailed back to the owning event thread. The dialect only decides how
+//! the reply is encoded. Every reply bumps the request counters of the
+//! server's one metrics registry, which the flat `stats` line,
+//! `stats prom` and the returned [`NetStats`] all read.
+//!
 //! # Invariants
 //!
 //! * **One reply per request, in order, in the request's dialect.**
@@ -46,7 +60,7 @@
 //! * **Graceful drain.** A `shutdown` request stops the accept path and
 //!   closes every connection's *read* side; the admission worker keeps
 //!   answering until every lane is empty (close-and-answer,
-//!   [`ingress::serve`]'s contract) — so every in-flight request is
+//!   [`ingress::run`]'s contract) — so every in-flight request is
 //!   answered on the wire before its socket closes and [`serve`]
 //!   returns.
 //! * **Backpressure end to end, without blocked threads.** A full
@@ -188,9 +202,11 @@ pub struct ServerConfig {
     /// own [`CommitSink`](super::CommitSink) (if any) ran.
     pub wal: Option<Arc<Mutex<Wal>>>,
     /// The server's one metrics registry, behind both `stats` and
-    /// `stats prom` — histograms, counters and the evolution gauges
-    /// that `redefine` (and, on a replica, every folded batch of the
-    /// shipped stream) store into. `None`: the server creates its own.
+    /// `stats prom` and the returned [`NetStats`] — histograms, the
+    /// request counters and the evolution gauges that `redefine` (and,
+    /// on a replica, every folded batch of the shipped stream) store
+    /// into. `None`: the server creates its own. The counters run over
+    /// the registry's lifetime, so hand each server a fresh one.
     pub metrics: Option<Arc<AdmissionMetrics>>,
     /// Replication tee: when set (primary role; requires `wal`), the
     /// server accepts replica connections on the replicator's listener
@@ -251,7 +267,8 @@ impl Default for ServerConfig {
     }
 }
 
-/// Counters reported by [`serve`] after the drain completes.
+/// Counters reported by [`serve`] after the drain completes, read from
+/// the server's metrics registry.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct NetStats {
     /// Connections accepted over the server's lifetime.
@@ -372,11 +389,6 @@ struct ServerShared<'h> {
     /// Degraded-mode flag and checkpoint status, shared with the
     /// admission worker and (via the caller) the snapshotter.
     health: &'h Health,
-    /// The server's one metrics registry: counters and histograms for
-    /// `stats prom`, evolution gauges for both `stats` forms (`Arc`:
-    /// the redefine admin op's completion outlives the event threads'
-    /// borrows).
-    metrics: Arc<AdmissionMetrics>,
     /// The schema behind the monitor: the `redefine` verb parses its
     /// new-inventory source against it on the event thread.
     schema: &'h Schema,
@@ -395,21 +407,22 @@ struct ServerShared<'h> {
 
 /// The `stats` verb's reply, formatted at the requesting connection's
 /// flush moment.
-fn stats_line(ev: &event::EventShared, shared: &ServerShared<'_>) -> String {
+fn stats_line(metrics: &AdmissionMetrics, shared: &ServerShared<'_>) -> String {
+    let m = metrics;
     let mut line = format!(
         "ok stats requests={} admitted={} rejected={} errors={} connections={} lanes={} \
          degraded={} last_checkpoint={} epoch={} redefines={} quarantined={}",
-        ev.requests.load(Ordering::SeqCst),
-        ev.admitted.load(Ordering::SeqCst),
-        ev.rejected.load(Ordering::SeqCst),
-        ev.errors.load(Ordering::SeqCst),
-        ev.connections.load(Ordering::SeqCst),
+        m.requests.load(Ordering::SeqCst),
+        m.admitted.load(Ordering::SeqCst),
+        m.rejected.load(Ordering::SeqCst),
+        m.errors.load(Ordering::SeqCst),
+        m.connections.load(Ordering::SeqCst),
         shared.lanes,
         if shared.health.is_degraded() { "yes" } else { "no" },
         shared.health.checkpoint_token(),
-        shared.metrics.epoch.load(Ordering::SeqCst),
-        shared.metrics.redefine_total.load(Ordering::SeqCst),
-        shared.metrics.quarantined_objects.load(Ordering::SeqCst),
+        m.epoch.load(Ordering::SeqCst),
+        m.redefine_total.load(Ordering::SeqCst),
+        m.quarantined_objects.load(Ordering::SeqCst),
     );
     // Replication fields trail the stable flat line and appear only on
     // replicating servers, so the line is byte-identical to the
@@ -439,12 +452,12 @@ fn stats_line(ev: &event::EventShared, shared: &ServerShared<'_>) -> String {
 /// flat single-line form byte-for-byte.
 fn stats_reply(ev: &event::EventShared, shared: &ServerShared<'_>, prom: bool) -> Vec<u8> {
     if prom {
-        let body = shared.metrics.render_prometheus();
+        let body = ev.metrics.render_prometheus();
         let mut out = format!("ok prom {}\n", body.len()).into_bytes();
         out.extend_from_slice(body.as_bytes());
         out
     } else {
-        let mut line = stats_line(ev, shared).into_bytes();
+        let mut line = stats_line(&ev.metrics, shared).into_bytes();
         line.push(b'\n');
         line
     }
@@ -512,13 +525,12 @@ pub fn serve<'a, 't>(
         schema_line,
         lanes: if monitor.routes_by_component() { monitor.num_shards() } else { 1 },
         health: &config.health,
-        metrics: metrics.clone(),
         schema: monitor.schema(),
         alphabet,
         replica: replica.clone(),
         repl: config.repl.clone(),
     };
-    let ev = event::EventShared::new(config.io_threads.max(1))?;
+    let ev = event::EventShared::new(config.io_threads.max(1), Arc::clone(&metrics))?;
     // Flags the replication side threads (acceptor / puller) to exit
     // once the event core returned; they are joined before the ingress
     // drains, so admin ops they posted are always answered.
@@ -543,7 +555,7 @@ pub fn serve<'a, 't>(
                     super::repl::puller(ctl.upstream(), ctl, wal, client, metrics);
                 });
             }
-            let out = event::run(&listener, client, ts, alphabet, &shared, config, &ev);
+            let out = event::run(&listener, client, ts, &shared, config, &ev);
             repl_stop.store(true, Ordering::SeqCst);
             if let Some(ctl) = &replica {
                 ctl.request_stop();
@@ -558,12 +570,13 @@ pub fn serve<'a, 't>(
         repl.close();
     }
     run_result?;
+    let count = |c: &std::sync::atomic::AtomicU64| c.load(Ordering::SeqCst) as usize;
     Ok(NetStats {
-        connections: ev.connections.load(Ordering::SeqCst),
-        requests: ev.requests.load(Ordering::SeqCst),
-        admitted: ev.admitted.load(Ordering::SeqCst),
-        rejected: ev.rejected.load(Ordering::SeqCst),
-        errors: ev.errors.load(Ordering::SeqCst),
+        connections: count(&metrics.connections),
+        requests: count(&metrics.requests),
+        admitted: count(&metrics.admitted),
+        rejected: count(&metrics.rejected),
+        errors: count(&metrics.errors),
         ingress: ingress_stats,
     })
 }

@@ -57,9 +57,7 @@
 //! longest-conforming-prefix semantics and the per-shard-reference
 //! [`Violation`] diagnostics.
 
-use super::delta::{
-    diagnose_step, BatchCtx, BatchStage, BulkCreateStage, DeltaState, DiagParams, EXEMPT,
-};
+use super::delta::{diagnose_step, BatchCtx, BatchStage, DeltaState, DiagParams, EXEMPT};
 use super::wal::{self, BlockRef, CheckpointDelta, ShardLetters, Snapshot, WalError, WalRecord};
 use super::{EnforceError, RedefineOutcome, ResiduePolicy, SharedSink, StepPolicy, Violation};
 use crate::alphabet::RoleAlphabet;
@@ -258,10 +256,10 @@ impl<'a> ShardedMonitor<'a> {
         self
     }
 
-    /// Swap the commit sink in place, returning the previous one. The
-    /// pipelined ingress ([`super::ingress::serve_pipelined`]) installs
-    /// its staging sink for the duration of a serve and restores the
-    /// caller's sink on exit.
+    /// Swap the commit sink in place, returning the previous one.
+    /// [`super::ingress::run`], handed a WAL, installs its staging sink
+    /// for the duration of a serve and restores the caller's sink on
+    /// exit.
     pub(crate) fn set_sink(&mut self, sink: Option<SharedSink>) -> Option<SharedSink> {
         std::mem::replace(&mut self.sink, sink)
     }
@@ -377,12 +375,8 @@ impl<'a> ShardedMonitor<'a> {
             // Write-ahead: if the marker cannot be logged, certification
             // does not take effect.
             let at = self.shards[0].steps;
-            if let Some(sink) = &self.sink {
-                sink.lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner)
-                    .certified(at)
-                    .map_err(|e| CoreError::Durability(e.to_string()))?;
-            }
+            self.log_ahead(|sink| sink.certified(at))
+                .map_err(|e| CoreError::Durability(e.to_string()))?;
             self.certified = true;
             self.certified_at = Some(at);
         }
@@ -553,7 +547,7 @@ impl<'a> ShardedMonitor<'a> {
         &mut self,
         items: &[(&Transaction, &Assignment)],
     ) -> (usize, Option<EnforceError>) {
-        let Some(sink) = self.sink.clone() else {
+        if self.sink.is_none() {
             let mut done = 0;
             let mut err = None;
             for (t, args) in items {
@@ -565,7 +559,7 @@ impl<'a> ShardedMonitor<'a> {
             }
             self.shards[0].steps += done;
             return (done, err);
-        };
+        }
         let mut deltas: Vec<Delta> = Vec::with_capacity(items.len());
         let mut lang_err: Option<EnforceError> = None;
         for (t, args) in items {
@@ -580,23 +574,21 @@ impl<'a> ShardedMonitor<'a> {
         if deltas.is_empty() {
             return (0, lang_err);
         }
-        let state = &mut self.shards[0];
         let shards = [ShardLetters {
             shard: 0,
-            steps0: state.steps,
+            steps0: self.shards[0].steps,
             letters: (0..deltas.len() as u32).collect(),
         }];
         let refs: Vec<&Delta> = deltas.iter().collect();
-        let logged = sink
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .committed(&BlockRef { deltas: &refs, shards: &shards });
+        let logged =
+            self.log_ahead(|sink| sink.committed(&BlockRef { deltas: &refs, shards: &shards }));
         if let Err(e) = logged {
             for d in deltas.iter().rev() {
                 d.undo(&mut self.db);
             }
             return (0, Some(EnforceError::Durability(e)));
         }
+        let state = &mut self.shards[0];
         state.steps += deltas.len();
         for d in &deltas {
             state.dirty.extend(d.objects().iter().map(|od| od.oid));
@@ -662,14 +654,12 @@ impl<'a> ShardedMonitor<'a> {
         }
         // Write-ahead: one record with every shard's clock at the swap
         // instant reaches the log before any tracking state moves.
-        if let Some(sink) = &self.sink {
+        self.log_ahead(|sink| {
             let clocks: Vec<(u32, usize)> =
                 self.shards.iter().enumerate().map(|(i, s)| (i as u32, s.steps)).collect();
-            sink.lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .redefined(self.epoch + 1, policy, &clocks, &new_inventory.encode())
-                .map_err(EnforceError::Durability)?;
-        }
+            sink.redefined(self.epoch + 1, policy, &clocks, &new_inventory.encode())
+        })
+        .map_err(EnforceError::Durability)?;
         let reset = policy == ResiduePolicy::CertifyAndReset;
         let (mut residue, mut quarantined) = (0usize, 0usize);
         for (state, new_pre) in self.shards.iter_mut().zip(pre_walks) {
@@ -747,75 +737,99 @@ impl<'a> ShardedMonitor<'a> {
             }
         }
         let (letters, touched) = self.assign_letters(effective);
+        // A shard participates iff the block has letters for it (the
+        // staged pass includes the shard's never-created ∅ walk).
+        let inputs =
+            touched.iter().zip(&letters).map(|(t, l)| (!l.is_empty()).then_some((t, l.len())));
+        let stages = self
+            .stage_shards(inputs, |state, ctx, (touched, k)| state.stage_batch(ctx, k, touched))?;
+        self.log_and_commit(effective, stages, |s| letters[s].clone(), DeltaState::commit_batch)
+    }
+
+    /// Stage every participating shard read-only from its `inputs`
+    /// entry — concurrently on scoped threads when parallel staging is
+    /// on ([`Self::with_parallel_staging`]). A `None` input marks a
+    /// shard that does not participate: it stays untouched and its
+    /// clock does not move. Any shard's refusal fails the whole block.
+    fn stage_shards<I: Send, S: Send>(
+        &self,
+        inputs: impl Iterator<Item = Option<I>>,
+        stage: impl Fn(&DeltaState, &BatchCtx<'_>, I) -> Result<S, ()> + Sync,
+    ) -> Result<Vec<Option<S>>, AdmitFail> {
         let ctx = BatchCtx {
             schema: self.schema,
             alphabet: self.alphabet,
             dfa: self.inventory.dfa(),
             kind: self.kind,
         };
-        // Stage every participating shard read-only (the staged pass
-        // includes the shard's never-created ∅ walk); concurrently when
-        // it pays. Non-participating shards stay untouched — their
-        // clocks do not move.
-        let mut staged: Vec<Result<Option<BatchStage>, ()>> =
-            self.shards.iter().map(|_| Ok(None)).collect();
+        let mut staged: Vec<Result<Option<S>, ()>> = self.shards.iter().map(|_| Ok(None)).collect();
+        let jobs = self.shards.iter().zip(inputs).zip(staged.iter_mut());
         if self.parallel {
             std::thread::scope(|scope| {
-                for (((state, touched), letters), slot) in
-                    self.shards.iter().zip(&touched).zip(&letters).zip(staged.iter_mut())
-                {
-                    if letters.is_empty() {
-                        continue;
-                    }
-                    let (ctx, k) = (&ctx, letters.len());
-                    scope.spawn(move || *slot = state.stage_batch(ctx, k, touched).map(Some));
+                for ((state, input), slot) in jobs {
+                    let Some(input) = input else { continue };
+                    let (ctx, stage) = (&ctx, &stage);
+                    scope.spawn(move || *slot = stage(state, ctx, input).map(Some));
                 }
             });
         } else {
-            for (((state, touched), letters), slot) in
-                self.shards.iter().zip(&touched).zip(&letters).zip(staged.iter_mut())
-            {
-                if !letters.is_empty() {
-                    *slot = state.stage_batch(&ctx, letters.len(), touched).map(Some);
+            for ((state, input), slot) in jobs {
+                if let Some(input) = input {
+                    *slot = stage(state, &ctx, input).map(Some);
                 }
             }
         }
-        let stages: Vec<Option<BatchStage>> =
-            staged.into_iter().collect::<Result<_, _>>().map_err(|()| AdmitFail::Violation)?;
+        staged.into_iter().collect::<Result<_, _>>().map_err(|()| AdmitFail::Violation)
+    }
 
-        // Write-ahead: every shard staged the block as admissible, so it
-        // may be logged — one record for the whole block (group commit),
-        // carrying each participating shard's clock and letters —
-        // before any tracking state is written.
-        if let Some(sink) = &self.sink {
-            let shard_letters: Vec<ShardLetters> = letters
-                .iter()
-                .enumerate()
-                .filter(|(_, l)| !l.is_empty())
-                .map(|(s, l)| ShardLetters {
+    /// Write-ahead, then commit, a block every participating shard
+    /// staged as admissible: log it as one record (group commit)
+    /// carrying each participating shard's clock and `letters`, and
+    /// only then write the staged moves (each commit advances its
+    /// shard's clock).
+    fn log_and_commit<S>(
+        &mut self,
+        effective: &[(usize, &Delta)],
+        stages: Vec<Option<S>>,
+        letters: impl Fn(usize) -> Vec<u32>,
+        commit: impl Fn(&mut DeltaState, S),
+    ) -> Result<(), AdmitFail> {
+        self.log_ahead(|sink| {
+            let shards: Vec<ShardLetters> = (0..stages.len())
+                .filter(|&s| stages[s].is_some())
+                .map(|s| ShardLetters {
                     shard: s as u32,
                     steps0: self.shards[s].steps,
-                    letters: l.clone(),
+                    letters: letters(s),
                 })
                 .collect();
             let deltas: Vec<&Delta> = effective.iter().map(|&(_, d)| d).collect();
-            // Poison tolerance: a sink panic on another thread must read
-            // as a durability failure (rollback, retry/degrade policy),
-            // not cascade into an admission-worker panic.
-            sink.lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .committed(&BlockRef { deltas: &deltas, shards: &shard_letters })
-                .map_err(AdmitFail::Sink)?;
-        }
-
-        // Commit: every shard accepted, write the staged moves (each
-        // commit advances its shard's clock).
+            sink.committed(&BlockRef { deltas: &deltas, shards: &shards })
+        })
+        .map_err(AdmitFail::Sink)?;
         for (state, stage) in self.shards.iter_mut().zip(stages) {
             if let Some(stage) = stage {
-                state.commit_batch(stage);
+                commit(state, stage);
             }
         }
         Ok(())
+    }
+
+    /// Write-ahead through the commit sink, if one is attached: `write`
+    /// runs on the locked sink before any tracking state moves. Poison
+    /// tolerance: a sink panic on another thread must read as a
+    /// durability failure (rollback, retry/degrade policy), not cascade
+    /// into an admission-worker panic.
+    fn log_ahead<E>(
+        &self,
+        write: impl FnOnce(&mut dyn wal::CommitSink) -> Result<(), E>,
+    ) -> Result<(), E> {
+        match &self.sink {
+            Some(sink) => {
+                write(&mut *sink.lock().unwrap_or_else(std::sync::PoisonError::into_inner))
+            }
+            None => Ok(()),
+        }
     }
 
     /// Bulk-creation admission of one all-creations letter: partition
@@ -844,63 +858,11 @@ impl<'a> ShardedMonitor<'a> {
                 p
             }
         };
-        let ctx = BatchCtx {
-            schema: self.schema,
-            alphabet: self.alphabet,
-            dfa: self.inventory.dfa(),
-            kind: self.kind,
-        };
-        let mut staged: Vec<Result<Option<BulkCreateStage>, ()>> =
-            self.shards.iter().map(|_| Ok(None)).collect();
-        if self.parallel {
-            std::thread::scope(|scope| {
-                for (((state, routed), &part), slot) in
-                    self.shards.iter().zip(&routed).zip(&participating).zip(staged.iter_mut())
-                {
-                    if !part {
-                        continue;
-                    }
-                    let ctx = &ctx;
-                    scope.spawn(move || {
-                        *slot = state.stage_bulk_creates(ctx, routed.iter().copied()).map(Some);
-                    });
-                }
-            });
-        } else {
-            for (((state, routed), &part), slot) in
-                self.shards.iter().zip(&routed).zip(&participating).zip(staged.iter_mut())
-            {
-                if part {
-                    *slot = state.stage_bulk_creates(&ctx, routed.iter().copied()).map(Some);
-                }
-            }
-        }
-        let stages: Vec<Option<BulkCreateStage>> =
-            staged.into_iter().collect::<Result<_, _>>().map_err(|()| AdmitFail::Violation)?;
-
-        if let Some(sink) = &self.sink {
-            let shard_letters: Vec<ShardLetters> = participating
-                .iter()
-                .enumerate()
-                .filter(|&(_, &p)| p)
-                .map(|(s, _)| ShardLetters {
-                    shard: s as u32,
-                    steps0: self.shards[s].steps,
-                    letters: vec![0],
-                })
-                .collect();
-            sink.lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .committed(&BlockRef { deltas: &[d], shards: &shard_letters })
-                .map_err(AdmitFail::Sink)?;
-        }
-
-        for (state, stage) in self.shards.iter_mut().zip(stages) {
-            if let Some(stage) = stage {
-                state.commit_bulk_creates(stage);
-            }
-        }
-        Ok(())
+        let inputs = routed.iter().zip(&participating).map(|(r, &p)| p.then_some(r));
+        let stages = self.stage_shards(inputs, |state, ctx, routed| {
+            state.stage_bulk_creates(ctx, routed.iter().copied())
+        })?;
+        self.log_and_commit(&[(fallback, d)], stages, |_| vec![0], DeltaState::commit_bulk_creates)
     }
 
     /// Rejection diagnostics for a single application: for each
@@ -1211,11 +1173,7 @@ impl<'a> ShardedMonitor<'a> {
                 if self.certified {
                     return Ok(false);
                 }
-                if let Some(sink) = &self.sink {
-                    sink.lock()
-                        .unwrap_or_else(std::sync::PoisonError::into_inner)
-                        .certified(steps)?;
-                }
+                self.log_ahead(|sink| sink.certified(steps))?;
                 self.certified = true;
                 self.certified_at = Some(steps);
                 return Ok(true);
@@ -1302,12 +1260,10 @@ impl<'a> ShardedMonitor<'a> {
         // Write-ahead on the standby: the shipped record reaches this
         // monitor's own log before tracking state moves, so the
         // standby's durable image replays byte-identically.
-        if let Some(sink) = &self.sink {
+        self.log_ahead(|sink| {
             let deltas: Vec<&Delta> = block.deltas.iter().collect();
-            sink.lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .committed(&BlockRef { deltas: &deltas, shards: &block.shards })?;
-        }
+            sink.committed(&BlockRef { deltas: &deltas, shards: &block.shards })
+        })?;
         for d in &block.deltas {
             d.redo(&mut self.db);
         }

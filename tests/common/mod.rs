@@ -4,7 +4,8 @@
 //! alphabets, and random ground SL transactions over a small key pool
 //! (collisions intended). Deterministic via the caller's seeded rng.
 //! Also [`Reap`], the process guard of the suites that spawn
-//! `migctl serve`.
+//! `migctl serve`, and [`spawn_repl_serve`], the primary/replica
+//! harness those suites share.
 #![allow(dead_code)]
 
 use migratory::automata::Regex;
@@ -13,6 +14,7 @@ use migratory::lang::{AtomicUpdate, Transaction};
 use migratory::model::{Atom, ClassId, Condition, Schema, SchemaBuilder};
 use rand::rngs::StdRng;
 use rand::RngExt as _;
+use std::io::BufRead as _;
 
 /// A random single-component hierarchy: root `C0(K, A)` plus 1–4
 /// subclasses, each hanging off a random earlier class and owning one
@@ -196,4 +198,64 @@ impl Drop for Reap {
         let _ = self.0.kill();
         let _ = self.0.wait();
     }
+}
+
+/// The schema, transactions and inventory of the replication suites
+/// (`replication.rs`, and the replica rows of `net_serve.rs`).
+pub const REPL_SCHEMA: &str = r#"
+schema Uni {
+  class PERSON { SSN, Name }
+  class STUDENT isa PERSON { Major }
+}
+"#;
+
+pub const REPL_TX: &str = r#"
+transaction Mk(x) { create(PERSON, { SSN = x, Name = "n" }); }
+transaction St(x) { specialize(PERSON, STUDENT, { SSN = x }, { Major = "CS" }); }
+transaction UnSt(x) { generalize(STUDENT, { SSN = x }); }
+transaction Rm(x) { delete(PERSON, { SSN = x }); }
+"#;
+
+pub const REPL_INV: &str = "∅* [PERSON]* [STUDENT]* ∅*";
+
+/// Spawn `migctl serve` with replication flags; scrape the client
+/// address and (for a primary) the replication address off the banner.
+pub fn spawn_repl_serve(
+    dir: &std::path::Path,
+    extra: &[&str],
+) -> (std::process::Child, String, String) {
+    let schema = dir.join("uni.mig");
+    let tx = dir.join("uni.sl");
+    std::fs::write(&schema, REPL_SCHEMA).unwrap();
+    std::fs::write(&tx, REPL_TX).unwrap();
+    let mut child = std::process::Command::new(env!("CARGO_BIN_EXE_migctl"))
+        .arg("serve")
+        .arg(&schema)
+        .arg(&tx)
+        .args(["--inventory", REPL_INV, "--addr", "127.0.0.1:0"])
+        .args(extra)
+        .stdout(std::process::Stdio::piped())
+        .stderr(std::process::Stdio::inherit())
+        .spawn()
+        .expect("spawn migctl serve");
+    let stdout = child.stdout.take().expect("piped stdout");
+    let mut lines = std::io::BufReader::new(stdout).lines();
+    let mut addr = String::new();
+    let mut repl_addr = String::new();
+    loop {
+        let line = lines.next().expect("serve prints its banner").expect("read stdout");
+        if let Some(rest) = line.split("listening on ").nth(1) {
+            addr = rest.split_whitespace().next().expect("an address").to_owned();
+            if extra.contains(&"--repl-addr") {
+                continue; // the replication banner follows
+            }
+            break;
+        }
+        if let Some(rest) = line.split("replicating on ").nth(1) {
+            repl_addr = rest.split_whitespace().next().expect("an address").to_owned();
+            break;
+        }
+    }
+    std::thread::spawn(move || for _ in lines {});
+    (child, addr, repl_addr)
 }

@@ -806,7 +806,10 @@ fn prom_count(prom: &str, name: &str) -> u64 {
 /// A volatile server (no WAL, no caller-supplied metrics) still has a
 /// registry, and its admission loop stamps the per-block histograms:
 /// after traffic, `stats prom` reports non-zero block-size and
-/// queue-depth counts.
+/// queue-depth counts. The request counters live in the same registry:
+/// after a mixed session (admissions, a violation, errors, two
+/// connections) the flat line's fields, the `stats prom` counters and
+/// the `NetStats` that `serve` returns all agree.
 #[test]
 fn volatile_server_stamps_admission_histograms() {
     use std::io::Read;
@@ -818,7 +821,7 @@ fn volatile_server_stamps_admission_histograms() {
     let addr = listener.local_addr().unwrap();
     // Assertions run after the join: a failure never leaves the server
     // parked.
-    let (prom, stats_line) = std::thread::scope(|scope| {
+    let (prom, stats_line, net) = std::thread::scope(|scope| {
         let server = scope.spawn(|| {
             let mut m = ShardedMonitor::new(&s, &a, &inv, PatternKind::All, 3);
             net::serve(listener, &mut m, &ts, &ServerConfig::default(), |_| {}).unwrap()
@@ -827,6 +830,11 @@ fn volatile_server_stamps_admission_histograms() {
         for i in 0..24 {
             assert_eq!(c.ask(&format!("invoke Mk{}(v{i})", i % 3)), "ok");
         }
+        assert!(c.ask("invoke Up0(v0)").starts_with("violation "));
+        assert!(c.ask("invoke Nope(1)").starts_with("error unknown transaction"));
+        assert!(c.ask("bogus").starts_with("error unknown verb"));
+        let mut c = Client::connect(addr);
+        let stats_line = c.ask("stats");
         c.send("stats prom");
         let mut r = BufReader::new(c.writer.try_clone().unwrap());
         let mut header = String::new();
@@ -835,18 +843,41 @@ fn volatile_server_stamps_admission_histograms() {
             header.trim().strip_prefix("ok prom ").and_then(|n| n.parse().ok()).unwrap_or(0);
         let mut payload = vec![0u8; len];
         r.read_exact(&mut payload).unwrap();
-        let mut c = Client::connect(addr);
-        let stats_line = c.ask("stats");
-        assert_eq!(c.ask("shutdown"), "ok draining");
-        server.join().unwrap();
-        (String::from_utf8(payload).unwrap(), stats_line)
+        c.send("shutdown");
+        let mut bye = String::new();
+        r.read_line(&mut bye).unwrap();
+        assert_eq!(bye, "ok draining\n");
+        let net = server.join().unwrap();
+        (String::from_utf8(payload).unwrap(), stats_line, net)
     });
     assert!(prom_count(&prom, "migratory_block_size") > 0, "block sizes stamped: {prom}");
     assert!(prom_count(&prom, "migratory_queue_depth") > 0, "queue depths stamped: {prom}");
     assert!(prom_count(&prom, "migratory_commit_latency_us") > 0, "releases stamped: {prom}");
     assert!(prom.contains("migratory_epoch 0"), "the gauges live in the same registry: {prom}");
-    assert!(stats_line.contains("admitted=24 "), "{stats_line}");
     assert!(stats_line.contains("epoch=0 redefines=0 quarantined=0"), "{stats_line}");
+
+    let field = |name: &str| -> usize {
+        let key = format!("{name}=");
+        let v = stats_line.split_whitespace().find_map(|t| t.strip_prefix(key.as_str()));
+        v.and_then(|v| v.parse().ok()).unwrap_or_else(|| panic!("no {key}: {stats_line}"))
+    };
+    let counter = |name: &str| -> usize {
+        let key = format!("migratory_{name}_total ");
+        let v = prom.lines().find_map(|l| l.strip_prefix(key.as_str()));
+        v.and_then(|v| v.parse().ok()).unwrap_or_else(|| panic!("no {key}: {prom}"))
+    };
+    assert!(prom.contains("# TYPE migratory_requests_total counter"), "{prom}");
+    let flat = (field("admitted"), field("rejected"), field("errors"), field("connections"));
+    assert_eq!(flat, (24, 1, 2, 2), "{stats_line}");
+    let exposed =
+        (counter("admitted"), counter("rejected"), counter("errors"), counter("connections"));
+    assert_eq!(exposed, flat, "`stats prom` and the flat line read one registry");
+    assert_eq!((net.admitted, net.rejected, net.errors, net.connections), flat);
+    // Each later reading saw exactly one more request: `stats prom`
+    // itself, then `shutdown`.
+    assert_eq!(field("requests"), 28, "{stats_line}");
+    assert_eq!(counter("requests"), 29);
+    assert_eq!(net.requests, 30);
 }
 
 /// A violation whose pattern renders past the 64 KiB reply cap used to
@@ -921,6 +952,338 @@ fn oversized_violation_diagnostic_is_elided_in_both_dialects() {
     assert_eq!(c.ask("shutdown"), "ok draining");
     let mut server = server;
     assert!(server.0.wait().expect("server drains").success());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+// ---------------------------------------------------------------------
+// Dialect parity: one request, two encodings, one answer
+// ---------------------------------------------------------------------
+
+/// One request written in both dialects, with the reply kind it must
+/// draw. `exact`: the binary payload equals the rest of the text line.
+/// Where the malformed part is itself dialect-specific (a policy word
+/// vs a policy byte, the call grammar vs the binary codec) the two
+/// messages cannot be the same bytes; they share `prefix`.
+struct Twin {
+    case: &'static str,
+    text: String,
+    frame: Vec<u8>,
+    kind: u8,
+    exact: bool,
+    prefix: String,
+}
+
+impl Twin {
+    fn exact(case: &'static str, text: &str, frame: Vec<u8>, kind: u8, prefix: &str) -> Twin {
+        let (text, prefix) = (text.to_owned(), prefix.to_owned());
+        Twin { case, text, frame, kind, exact: true, prefix }
+    }
+
+    fn alike(case: &'static str, text: &str, frame: Vec<u8>, prefix: &str) -> Twin {
+        use migratory::core::enforce::net::frame::REP_ERROR;
+        let (text, prefix) = (text.to_owned(), prefix.to_owned());
+        Twin { case, text, frame, kind: REP_ERROR, exact: false, prefix }
+    }
+}
+
+/// A reply in dialect-neutral form: the binary reply kind and payload,
+/// or a text line's first word mapped to that kind and the rest of the
+/// line.
+type Answer = (u8, String);
+
+fn text_answer(line: &str) -> Answer {
+    use migratory::core::enforce::net::frame;
+    let (word, rest) = line.split_once(' ').unwrap_or((line, ""));
+    let kind = match word {
+        "ok" => frame::REP_OK,
+        "violation" => frame::REP_VIOLATION,
+        "error" => frame::REP_ERROR,
+        other => panic!("unexpected reply word `{other}`: {line}"),
+    };
+    (kind, rest.to_owned())
+}
+
+/// Play `rows` against `addr` in one dialect, one request at a time.
+fn play(addr: &str, rows: &[Twin], binary: bool) -> Vec<Answer> {
+    use migratory::core::enforce::net::frame;
+    if !binary {
+        let mut c = Client::connect(addr);
+        return rows.iter().map(|row| text_answer(&c.ask(&row.text))).collect();
+    }
+    let conn = TcpStream::connect(addr).expect("connect");
+    let mut r = BufReader::new(conn.try_clone().expect("clone"));
+    rows.iter()
+        .map(|row| {
+            (&conn).write_all(&row.frame).expect("send frame");
+            let (kind, payload) = frame::read_frame(&mut r).expect("a reply frame");
+            (kind, String::from_utf8(payload).expect("UTF-8 reply payload"))
+        })
+        .collect()
+}
+
+/// Check one text/binary answer pair against its row.
+fn assert_twins(rows: &[Twin], text: &[Answer], binary: &[Answer]) {
+    for ((row, t), b) in rows.iter().zip(text).zip(binary) {
+        let case = row.case;
+        assert_eq!(t.0, row.kind, "{case}: text reply kind: {t:?}");
+        assert_eq!(b.0, row.kind, "{case}: binary reply kind: {b:?}");
+        assert!(t.1.starts_with(&row.prefix), "{case}: text reply {t:?}");
+        assert!(b.1.starts_with(&row.prefix), "{case}: binary reply {b:?}");
+        if row.exact {
+            assert_eq!(b.1, t.1, "{case}: the binary payload is the rest of the text line");
+        }
+    }
+    assert_eq!((text.len(), binary.len()), (rows.len(), rows.len()));
+}
+
+fn invoke_frame(name: &str, args: &[&str]) -> Vec<u8> {
+    let args: Vec<migratory::model::Value> =
+        args.iter().map(|a| migratory::model::Value::str(a)).collect();
+    let mut out = Vec::new();
+    net::frame::encode_invoke_frame(&mut out, name, &args);
+    out
+}
+
+fn raw_frame(kind: u8, payload: &[u8]) -> Vec<u8> {
+    let mut out = Vec::new();
+    net::frame::encode(&mut out, kind, payload);
+    out
+}
+
+/// A well-formed invoke payload followed by one stray byte.
+fn trailing_invoke_frame() -> Vec<u8> {
+    let mut payload = invoke_frame("Mk0", &["t"])[net::frame::HEADER_LEN..].to_vec();
+    payload.push(0);
+    raw_frame(net::frame::REQ_INVOKE, &payload)
+}
+
+fn redefine_frame(policy: ResiduePolicy, source: &str) -> Vec<u8> {
+    let mut out = Vec::new();
+    net::frame::encode_redefine_frame(&mut out, policy, source);
+    out
+}
+
+fn query_frame(query: &str) -> Vec<u8> {
+    let mut out = Vec::new();
+    net::frame::encode_query_frame(&mut out, query);
+    out
+}
+
+/// Serve `rows` on two fresh volatile servers built from `config`, one
+/// driven in text and one in binary, and return both answer lists —
+/// two servers, so a stateful row (a redefine's epoch, a query's count)
+/// sees the same state in both dialects.
+fn serve_twins(config: &ServerConfig, rows: &[Twin]) -> (Vec<Answer>, Vec<Answer>) {
+    let s = multi_schema();
+    let a = RoleAlphabet::new(&s, 0).unwrap();
+    let inv = Inventory::parse_init(&s, &a, "∅* [R0]* ∅*").unwrap();
+    let ts = multi_transactions(&s);
+    let mut answers = Vec::new();
+    for binary in [false, true] {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        answers.push(std::thread::scope(|scope| {
+            let server = scope.spawn(|| {
+                let mut m = ShardedMonitor::new(&s, &a, &inv, PatternKind::All, 3);
+                net::serve(listener, &mut m, &ts, config, |_| {}).unwrap()
+            });
+            let answers = play(&addr, rows, binary);
+            assert_eq!(Client::connect(&*addr).ask("shutdown"), "ok draining");
+            server.join().unwrap();
+            answers
+        }));
+    }
+    let binary = answers.pop().unwrap();
+    (answers.pop().unwrap(), binary)
+}
+
+/// Every request that exists in both dialects draws the same answer in
+/// both: the binary reply kind is the text reply's first word, and the
+/// binary payload is the rest of the text line. Covers admission
+/// outcomes, argument errors, indexed queries, redefinition, the
+/// degraded-mode refusal, and — on a live replica — the read-only
+/// refusal, which wins over every argument error in both dialects.
+#[test]
+fn both_dialects_answer_every_request_alike() {
+    use migratory::core::enforce::net::frame::{REP_ERROR, REP_OK, REP_VIOLATION, REQ_INVOKE};
+    use migratory::core::enforce::net::frame::{REQ_QUERY, REQ_REDEFINE};
+    let q = ResiduePolicy::Quarantine;
+    let rows = vec![
+        Twin::exact("invoke ok", "invoke Mk0(a)", invoke_frame("Mk0", &["a"]), REP_OK, ""),
+        Twin::exact(
+            "invoke ok, second lane",
+            "invoke Mk1(b)",
+            invoke_frame("Mk1", &["b"]),
+            REP_OK,
+            "",
+        ),
+        Twin::exact(
+            "invoke violation",
+            "invoke Up0(a)",
+            invoke_frame("Up0", &["a"]),
+            REP_VIOLATION,
+            "object ",
+        ),
+        Twin::exact(
+            "invoke unknown transaction",
+            "invoke Nope(1)",
+            invoke_frame("Nope", &["1"]),
+            REP_ERROR,
+            "unknown transaction `Nope`",
+        ),
+        Twin::exact(
+            "invoke wrong arity",
+            "invoke Mk0(a, b)",
+            invoke_frame("Mk0", &["a", "b"]),
+            REP_ERROR,
+            "transaction expects 1 argument(s), got 2",
+        ),
+        Twin::alike("invoke malformed arguments", "invoke Mk0", raw_frame(REQ_INVOKE, &[0xff]), ""),
+        Twin::alike("invoke trailing bytes", "invoke Mk0(", trailing_invoke_frame(), ""),
+        Twin::exact("query ok", "query R0", query_frame("R0"), REP_OK, "query count=1 oids="),
+        Twin::exact(
+            "query unknown class",
+            "query Nope",
+            query_frame("Nope"),
+            REP_ERROR,
+            "unknown class `Nope`",
+        ),
+        Twin::exact(
+            "query unknown attribute",
+            "query R0(Zz=1)",
+            query_frame("R0(Zz=1)"),
+            REP_ERROR,
+            "unknown attribute `Zz`",
+        ),
+        Twin::exact(
+            "redefine ok",
+            "redefine quarantine ∅* [R0]* ∅*",
+            redefine_frame(q, "∅* [R0]* ∅*"),
+            REP_OK,
+            "epoch=1 residue=0",
+        ),
+        Twin::alike(
+            "redefine bad policy",
+            "redefine bogus ∅*",
+            raw_frame(REQ_REDEFINE, b"\x09\xe2\x88\x85*"),
+            "redefine refused: unknown residue policy ",
+        ),
+        Twin::exact(
+            "redefine bad inventory",
+            "redefine quarantine ((",
+            redefine_frame(q, "(("),
+            REP_ERROR,
+            "redefine refused: ",
+        ),
+        Twin::exact(
+            "query after redefine",
+            "query R0",
+            query_frame("R0"),
+            REP_OK,
+            "query count=1 oids=",
+        ),
+    ];
+    let (text, binary) = serve_twins(&ServerConfig::default(), &rows);
+    assert_twins(&rows, &text, &binary);
+
+    // Degraded read-only mode refuses writes identically in both.
+    let degraded = ServerConfig::default();
+    degraded.health.degrade("injected for the parity test");
+    let rows = vec![
+        Twin::exact(
+            "degraded invoke",
+            "invoke Mk0(a)",
+            invoke_frame("Mk0", &["a"]),
+            REP_ERROR,
+            "degraded (read-only): injected for the parity test",
+        ),
+        Twin::exact(
+            "degraded redefine",
+            "redefine quarantine ∅* [R0]* ∅*",
+            redefine_frame(q, "∅* [R0]* ∅*"),
+            REP_ERROR,
+            "degraded (read-only): injected for the parity test",
+        ),
+        Twin::exact("degraded query", "query R0", query_frame("R0"), REP_OK, "query count=0"),
+    ];
+    let (text, binary) = serve_twins(&degraded, &rows);
+    assert_twins(&rows, &text, &binary);
+
+    // A following replica refuses every write — well-formed or not —
+    // before looking at its arguments, in both dialects.
+    let dir = std::env::temp_dir().join(format!("migratory-parity-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let (wal_p, wal_r) = (dir.join("wal-p"), dir.join("wal-r"));
+    let (primary, _, p_repl) = common::spawn_repl_serve(
+        &dir,
+        &["--durable", wal_p.to_str().unwrap(), "--repl-addr", "127.0.0.1:0"],
+    );
+    let primary = common::Reap(primary);
+    let (replica, r_addr, _) = common::spawn_repl_serve(
+        &dir,
+        &["--durable", wal_r.to_str().unwrap(), "--replica-of", &p_repl],
+    );
+    let replica = common::Reap(replica);
+    let invoke = "replica is read-only: invoke refused (following ";
+    let redefine = "replica is read-only: redefine refused (following ";
+    let rows = vec![
+        Twin::exact(
+            "replica invoke",
+            "invoke Mk(x)",
+            invoke_frame("Mk", &["x"]),
+            REP_ERROR,
+            invoke,
+        ),
+        Twin::exact(
+            "replica malformed invoke",
+            "invoke Mk",
+            raw_frame(REQ_INVOKE, &[0xff]),
+            REP_ERROR,
+            invoke,
+        ),
+        Twin::exact(
+            "replica invoke with trailing bytes",
+            "invoke",
+            trailing_invoke_frame(),
+            REP_ERROR,
+            invoke,
+        ),
+        Twin::exact(
+            "replica redefine",
+            "redefine quarantine ∅* [PERSON]* ∅*",
+            redefine_frame(q, "∅* [PERSON]* ∅*"),
+            REP_ERROR,
+            redefine,
+        ),
+        Twin::exact(
+            "replica redefine, bad policy",
+            "redefine bogus ∅*",
+            raw_frame(REQ_REDEFINE, b"\x09\xe2\x88\x85*"),
+            REP_ERROR,
+            redefine,
+        ),
+        Twin::exact(
+            "replica redefine, no source",
+            "redefine",
+            raw_frame(REQ_REDEFINE, b""),
+            REP_ERROR,
+            redefine,
+        ),
+        Twin::exact(
+            "replica redefine, bad inventory",
+            "redefine quarantine ((",
+            redefine_frame(q, "(("),
+            REP_ERROR,
+            redefine,
+        ),
+        Twin::exact("replica query", "query PERSON", query_frame("PERSON"), REP_OK, "query count="),
+        Twin::alike("replica query, empty", "query", raw_frame(REQ_QUERY, b""), ""),
+    ];
+    let text = play(&r_addr, &rows, false);
+    let binary = play(&r_addr, &rows, true);
+    assert_twins(&rows, &text, &binary);
+    drop((replica, primary));
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -23,7 +23,10 @@
 
 mod common;
 
-use common::{random_inventory, random_schema, random_transaction};
+use common::{
+    random_inventory, random_schema, random_transaction, spawn_repl_serve, REPL_INV, REPL_SCHEMA,
+    REPL_TX,
+};
 use migratory::core::enforce::repl::{acceptor, puller, HELLO, PREAMBLE};
 use migratory::core::enforce::wal::{decode_records, decode_stream};
 use migratory::core::enforce::{
@@ -234,22 +237,6 @@ fn replica_state_is_byte_identical_under_randomized_load() {
 // Satellite 2: torn-stream cuts, resync, no double-apply
 // ---------------------------------------------------------------------
 
-const REPL_SCHEMA: &str = r#"
-schema Uni {
-  class PERSON { SSN, Name }
-  class STUDENT isa PERSON { Major }
-}
-"#;
-
-const REPL_TX: &str = r#"
-transaction Mk(x) { create(PERSON, { SSN = x, Name = "n" }); }
-transaction St(x) { specialize(PERSON, STUDENT, { SSN = x }, { Major = "CS" }); }
-transaction UnSt(x) { generalize(STUDENT, { SSN = x }); }
-transaction Rm(x) { delete(PERSON, { SSN = x }); }
-"#;
-
-const REPL_INV: &str = "∅* [PERSON]* [STUDENT]* ∅*";
-
 /// Build the exact byte stream a primary ships (committed blocks plus a
 /// redefine marker, in log framing), together with the canonical state
 /// after each whole record.
@@ -391,48 +378,6 @@ impl Client {
         writeln!(self.writer, "{req}").expect("send");
         self.replies.next().expect("a reply per request").expect("read reply")
     }
-}
-
-/// Spawn `migctl serve` with replication flags; scrape the client
-/// address and (for a primary) the replication address off the banner.
-fn spawn_repl_serve(
-    dir: &std::path::Path,
-    extra: &[&str],
-) -> (std::process::Child, String, String) {
-    let schema = dir.join("uni.mig");
-    let tx = dir.join("uni.sl");
-    std::fs::write(&schema, REPL_SCHEMA).unwrap();
-    std::fs::write(&tx, REPL_TX).unwrap();
-    let mut child = std::process::Command::new(env!("CARGO_BIN_EXE_migctl"))
-        .arg("serve")
-        .arg(&schema)
-        .arg(&tx)
-        .args(["--inventory", REPL_INV, "--addr", "127.0.0.1:0"])
-        .args(extra)
-        .stdout(std::process::Stdio::piped())
-        .stderr(std::process::Stdio::inherit())
-        .spawn()
-        .expect("spawn migctl serve");
-    let stdout = child.stdout.take().expect("piped stdout");
-    let mut lines = BufReader::new(stdout).lines();
-    let mut addr = String::new();
-    let mut repl_addr = String::new();
-    loop {
-        let line = lines.next().expect("serve prints its banner").expect("read stdout");
-        if let Some(rest) = line.split("listening on ").nth(1) {
-            addr = rest.split_whitespace().next().expect("an address").to_owned();
-            if extra.contains(&"--repl-addr") {
-                continue; // the replication banner follows
-            }
-            break;
-        }
-        if let Some(rest) = line.split("replicating on ").nth(1) {
-            repl_addr = rest.split_whitespace().next().expect("an address").to_owned();
-            break;
-        }
-    }
-    std::thread::spawn(move || for _ in lines {});
-    (child, addr, repl_addr)
 }
 
 /// A replica's evolution gauges follow the shipped stream, not just
